@@ -15,26 +15,22 @@
 //!   equivalence to the real provider is asserted by tests.
 //!
 //! Crypto *time* is independent of the provider: [`CryptoCost`] carries
-//! the virtual-time price of a sign/verify, either the defaults measured
-//! from this workspace's release-mode benches or values calibrated on
-//! the host at run time.
+//! the virtual-time price of a sign/verify, either fixed model
+//! constants ([`CryptoCost::mccls_default`]) or values calibrated on the
+//! host at run time ([`CryptoCost::calibrate`]).
 //!
-//! [`RealAuthProvider`] is generic over any
-//! [`mccls_core::VerifierBackend`]. The simulator is single-threaded
-//! per run, so the default backend is the single-threaded [`Verifier`];
-//! a multi-threaded service (many packet streams verified concurrently
-//! against one shared peer directory) builds the same provider over a
-//! `mccls_core::ShardedVerifier` via
-//! [`RealAuthProvider::with_backend`]: the same warm one-pairing
-//! budget, behind sharded `RwLock`s whose lock discipline — acyclic
-//! acquisition order, no pairing work under a guard — is statically
-//! certified by the xtask `concurrency` lint (DESIGN.md §9).
+//! [`RealAuthProvider`] verifies through a one-shard
+//! [`ShardedVerifier`]: the simulator is single-threaded per run, and a
+//! single shard of [`DEFAULT_SHARD_CAPACITY`] slots is one bounded
+//! clock-evicted map — `mccls-core`'s one caching verifier at its
+//! smallest shape, with the same warm one-pairing budget as any other.
 
 use std::collections::BTreeSet;
 
+use mccls_core::registry::DEFAULT_SHARD_CAPACITY;
 use mccls_core::{
-    CertificatelessScheme, McCls, PartialPrivateKey, Signature, SystemParams, UserKeyPair,
-    UserPublicKey, Verifier, VerifierBackend,
+    CertificatelessScheme, McCls, PartialPrivateKey, ShardedVerifier, Signature, SystemParams,
+    UserKeyPair, UserPublicKey,
 };
 use mccls_pairing::{Fr, G1Projective};
 use mccls_rng::rngs::StdRng;
@@ -59,9 +55,11 @@ impl CryptoCost {
         verify: SimDuration::ZERO,
     };
 
-    /// Defaults for McCLS measured on this workspace's release build
-    /// (Criterion `cls_schemes` bench): sign ≈ 2 scalar mults ≈ 1.2 ms,
-    /// verify ≈ 1 pairing + 3 scalar mults ≈ 9 ms.
+    /// Fixed model constants for McCLS, not a measurement of this
+    /// build: sign (2 scalar mults) costs 1.2 ms and verify (1 pairing +
+    /// 3 scalar mults) 9 ms of virtual time. They stay fixed so figures
+    /// and sim metrics reproduce on any host; [`CryptoCost::calibrate`]
+    /// times the real scheme instead.
     pub fn mccls_default() -> Self {
         Self {
             sign: SimDuration::from_micros(1_200),
@@ -207,42 +205,26 @@ struct NodeKeys {
     keys: UserKeyPair,
 }
 
-/// The ground-truth provider: real McCLS signatures over real BLS12-381,
-/// generic over the verify-side handle (single-threaded [`Verifier`] by
-/// default, `mccls_core::ShardedVerifier` for concurrent services).
-pub struct RealAuthProvider<B: VerifierBackend = Verifier> {
+/// The ground-truth provider: real McCLS signatures over real BLS12-381.
+pub struct RealAuthProvider {
     scheme: McCls,
     node_keys: Vec<NodeKeys>,
     /// Public key directory (what nodes would learn from piggybacked
     /// keys).
     directory: Vec<UserPublicKey>,
-    /// The stateful verify-side backend: prepared `P_pub` lines plus the
-    /// per-peer `e(Q_ID, P_pub)` cache, registered lazily on first
-    /// contact via [`VerifierBackend::authenticate_with_key`].
-    verifier: B,
+    /// The verify side: prepared `P_pub` lines plus the per-peer
+    /// `e(Q_ID, P_pub)` cache, registered lazily on first contact via
+    /// [`ShardedVerifier::verify_with_key`].
+    verifier: ShardedVerifier,
     rng: StdRng,
 }
 
-impl RealAuthProvider<Verifier> {
+impl RealAuthProvider {
     /// Sets up a KGC, enrolls `num_nodes` nodes, and fabricates
     /// credentials for the nodes in `attackers` (outsiders who never
-    /// contact the KGC), verifying through the single-threaded
-    /// [`Verifier`].
+    /// contact the KGC), verifying through a one-shard
+    /// [`ShardedVerifier`].
     pub fn new(num_nodes: usize, attackers: &BTreeSet<NodeId>, seed: u64) -> Self {
-        Self::with_backend(num_nodes, attackers, seed, Verifier::new)
-    }
-}
-
-impl<B: VerifierBackend> RealAuthProvider<B> {
-    /// Like [`RealAuthProvider::new`], but verifying through the backend
-    /// `make_backend` builds from the freshly set-up system parameters
-    /// (e.g. `mccls_core::ShardedVerifier::new`).
-    pub fn with_backend(
-        num_nodes: usize,
-        attackers: &BTreeSet<NodeId>,
-        seed: u64,
-        make_backend: impl FnOnce(SystemParams) -> B,
-    ) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let scheme = McCls::new();
         let (params, kgc) = scheme.setup(&mut rng);
@@ -266,23 +248,23 @@ impl<B: VerifierBackend> RealAuthProvider<B> {
             scheme,
             node_keys,
             directory,
-            verifier: make_backend(params),
+            verifier: ShardedVerifier::with_shape(params, 1, DEFAULT_SHARD_CAPACITY),
             rng,
         }
     }
 
     /// The public parameters (exposed for tests).
     pub fn params(&self) -> &SystemParams {
-        self.verifier.backend_params()
+        self.verifier.params()
     }
 }
 
-impl<B: VerifierBackend + Send> AuthProvider for RealAuthProvider<B> {
+impl AuthProvider for RealAuthProvider {
     fn sign(&mut self, node: NodeId, payload: &[u8]) -> Auth {
         let nk = &self.node_keys[node.index()];
         // complexity-ok: McCLS scheme signing (crates/core), constant per packet and outside the lint scope
         let sig = self.scheme.sign(
-            self.verifier.backend_params(),
+            self.verifier.params(),
             &node.identity_bytes(),
             &nk.partial,
             &nk.keys,
@@ -307,7 +289,7 @@ impl<B: VerifierBackend + Send> AuthProvider for RealAuthProvider<B> {
         // intrusion-detection hook that wants to tell tampering apart
         // from unknown peers.
         self.verifier
-            .authenticate_with_key(&auth.signer.identity_bytes(), public, payload, sig)
+            .verify_with_key(&auth.signer.identity_bytes(), public, payload, sig)
             .is_ok()
     }
 }
@@ -367,24 +349,6 @@ mod tests {
         let mut auth = p.sign(NodeId(3), b"payload");
         auth.signer = NodeId(1);
         assert!(!p.verify(b"payload", &auth));
-    }
-
-    #[test]
-    fn real_provider_is_backend_generic() {
-        // The same provider, over the sharded thread-safe backend: the
-        // accept/reject behaviour must be identical to the
-        // single-threaded default.
-        let mut p = RealAuthProvider::with_backend(
-            4,
-            &attackers(&[3]),
-            12,
-            mccls_core::ShardedVerifier::new,
-        );
-        let honest = p.sign(NodeId(1), b"RREQ|fields");
-        assert!(p.verify(b"RREQ|fields", &honest));
-        assert!(!p.verify(b"RREQ|tampered", &honest));
-        let forged = p.sign(NodeId(3), b"RREP|forged");
-        assert!(!p.verify(b"RREP|forged", &forged));
     }
 
     #[test]

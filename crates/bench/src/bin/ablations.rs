@@ -81,7 +81,7 @@ fn main() {
     println!("## 5. Crypto cost sensitivity (secured, no attack)");
     for (label, cost) in [
         ("free", CryptoCost::FREE),
-        ("measured (this impl)", CryptoCost::mccls_default()),
+        ("model (1.2 / 9 ms)", CryptoCost::mccls_default()),
         (
             "2008-era (50x)",
             CryptoCost {

@@ -1,5 +1,5 @@
-//! Regenerates every figure of the paper in one pass (the sweeps are
-//! shared, so this is ~3x cheaper than running fig1..fig5 separately).
+//! Regenerates every figure of the paper in one pass: Figs. 1–3 share
+//! the no-attack sweeps and Figs. 4–5 the attacked ones.
 //!
 //! Pass `--svg <dir>` to additionally write `fig1.svg` … `fig5.svg`
 //! line charts into `<dir>`.

@@ -10,7 +10,7 @@
 //! * **fixed-base** — generic double-and-add generator multiplication
 //!   vs. the precomputed signed radix-16 tables in G1 and G2.
 //! * **verify** — stateless `McCls::verify` (re-derives `e(Q_ID,
-//!   P_pub)` per call) vs. the cached [`Verifier`] hot path, and `n`
+//!   P_pub)` per call) vs. the cached [`ShardedVerifier`] hot path, and `n`
 //!   individual verifications vs. one `batch_verify` (`n + 1` Miller
 //!   loops, one shared final exponentiation).
 //! * **backend** — the lazy `Fp2` multiply and the prepared pairing
@@ -36,7 +36,7 @@ use std::process::ExitCode;
 use mccls_bench::baseline::{self, Entry};
 use mccls_bench::harness::Criterion;
 use mccls_core::batch::{batch_verify, BatchItem};
-use mccls_core::{ops, CertificatelessScheme, McCls, Verifier};
+use mccls_core::{ops, CertificatelessScheme, McCls, ShardedVerifier};
 use mccls_pairing::{
     backend, g1_generator_table, g2_generator_table, multi_miller_loop, pairing, Fp12, Fp2, Fp6,
     Fr, G1Projective, G2Prepared, G2Projective,
@@ -88,7 +88,7 @@ impl Opts {
 /// One signer's worth of McCLS material for the verify benchmarks.
 struct World {
     params: mccls_core::SystemParams,
-    verifier: Verifier,
+    verifier: ShardedVerifier,
     items: Vec<(
         Vec<u8>,
         mccls_core::UserPublicKey,
@@ -102,7 +102,7 @@ fn build_world() -> World {
     let mut rng = StdRng::seed_from_u64(0xBE_BC);
     let scheme = McCls::new();
     let (params, kgc) = scheme.setup(&mut rng);
-    let mut verifier = Verifier::new(params.clone());
+    let verifier = ShardedVerifier::new(params.clone());
     let mut items = Vec::with_capacity(BATCH_N);
     for i in 0..BATCH_N {
         let id = format!("node-{i}").into_bytes();

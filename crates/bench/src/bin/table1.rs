@@ -180,20 +180,16 @@ fn run() -> Result<(), String> {
         let keys = scheme.generate_key_pair(&params, &mut rng);
         let msg = b"table-1 measurement message (32B)";
         let sig = scheme.sign(&params, b"node-1", &partial, &keys, msg, &mut rng);
-        let mut cache = mccls_core::VerifierCache::new();
-        assert!(cache
-            .verify(&params, b"node-1", &keys.public, msg, &sig)
+        let registry = mccls_core::ShardedVerifier::new(params);
+        assert!(registry
+            .verify_with_key(b"node-1", &keys.public, msg, &sig)
             .is_ok());
-        let (ok, verify_counts) =
-            ops::measure(|| cache.verify(&params, b"node-1", &keys.public, msg, &sig));
+        let (ok, verify_counts) = ops::measure(|| registry.verify(b"node-1", msg, &sig));
         assert!(ok.is_ok());
-        // The warm cached path is certified as the stateful
-        // `Verifier::verify` entry; the cache variant takes the same
-        // operations, so it must measure the same.
-        let warm_cert = certify(&budgets, "verifier.verify", &verify_counts)?;
+        let warm_cert = certify(&budgets, "registry.verify", &verify_counts)?;
         let verify_ms = time_op(
             || {
-                let _ = cache.verify(&params, b"node-1", &keys.public, msg, &sig);
+                let _ = registry.verify(b"node-1", msg, &sig);
             },
             10,
         );

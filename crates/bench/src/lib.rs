@@ -1,9 +1,10 @@
-//! Shared plumbing for the figure-regeneration binaries (`fig1`–`fig5`,
-//! `table1`): CLI parsing and the standard sweep configurations.
+//! Shared plumbing for the figure-regeneration binaries (`all_figures`,
+//! `ablations`): CLI parsing and the standard sweep configurations.
 //!
-//! Each binary reproduces one table or figure of the paper's evaluation
-//! section; run them with `cargo run --release -p mccls-bench --bin
-//! fig1` (add `-- --trials 5 --seed 7` to override defaults).
+//! `all_figures` reproduces all five figures of the paper's evaluation
+//! section from shared sweeps; run it with `cargo run --release -p
+//! mccls-bench --bin all_figures` (add `-- --trials 5 --seed 7` to
+//! override defaults).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -545,7 +545,7 @@ pub fn batch_verify(
 }
 
 /// The warm-capable engine behind
-/// [`VerifierBackend::authenticate_batch`](crate::VerifierBackend::authenticate_batch):
+/// [`ShardedVerifier::verify_batch`](crate::ShardedVerifier::verify_batch):
 /// entries whose identity has a cached `(public key, e(Q_ID, P_pub))`
 /// snapshot (and whose presented key matches it) skip the identity hash
 /// and fold term, paying one `Gt` exponentiation against the cached

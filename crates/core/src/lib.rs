@@ -48,7 +48,6 @@
 #![warn(missing_docs)]
 
 mod ap;
-mod backend;
 pub mod batch;
 pub mod ibs;
 mod mccls;
@@ -63,21 +62,20 @@ mod yhg;
 mod zwxf;
 
 pub use ap::Ap;
-pub use backend::VerifierBackend;
 pub use batch::{
     batch_verify, BatchAccumulator, BatchItem, BatchOutcome, BatchStats, FlushPolicy,
     OfflineSigner, Verdict,
 };
-pub use mccls::{McCls, VerifierCache};
+pub use mccls::McCls;
 pub use params::{
     h2_scalar, Kgc, MasterSecret, PartialPrivateKey, SystemParams, UserKeyPair, UserPublicKey,
 };
-pub use registry::{ShardedVerifier, SnapshotError};
+pub use registry::{ShardedVerifier, SnapshotError, Verifier};
 pub use scheme::{CertificatelessScheme, ClaimedOps, Signature};
 pub use threshold::{
     combine_shares, threshold_setup, KgcShareServer, PartialKeyShare, ThresholdSetup,
 };
-pub use verify::{Verifier, VerifyError};
+pub use verify::VerifyError;
 pub use yhg::Yhg;
 pub use zwxf::Zwxf;
 

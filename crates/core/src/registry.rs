@@ -1,11 +1,14 @@
-//! The sharded, thread-safe peer registry: [`ShardedVerifier`].
+//! The peer registry: [`ShardedVerifier`], the crate's one caching
+//! McCLS verifier.
 //!
-//! ROADMAP item 2 asks for a verification service that can hold state
-//! for on the order of a million peers and serve concurrent verifiers.
-//! The single-threaded [`Verifier`](crate::Verifier) already caches the
-//! per-peer constant `e(Q_ID, P_pub)`; this module scales that cache
-//! out while keeping two properties the xtask `concurrency` lint
-//! certifies from source:
+//! The paper's one-pairing verify rests on caching the per-peer
+//! constant `e(Q_ID, P_pub)`. This module holds that cache for every
+//! caller, with the shard count as the only knob: a single-threaded
+//! protocol task (one simulated node, one sink) builds one shard with
+//! [`ShardedVerifier::with_shape`], and a multi-threaded service
+//! holding state for on the order of a million peers uses
+//! [`ShardedVerifier::new`]. Either way the cache keeps two properties
+//! the xtask `concurrency` lint certifies from source:
 //!
 //! * **Lock discipline** — every map is guarded by exactly one
 //!   [`RwLock`], shard locks are never nested, and no guard is ever
@@ -16,8 +19,7 @@
 //! * **Bounded residency** — each shard's cache is a [`ClockMap`]: a
 //!   capacity-bounded map with clock (second-chance) eviction, so a
 //!   churning mobile network cannot grow per-peer `Gt` state without
-//!   limit. The same structure bounds the single-threaded
-//!   [`Verifier`](crate::Verifier).
+//!   limit.
 //!
 //! Poisoned locks are *recovered*, not propagated: every critical
 //! section only performs map bookkeeping (no panicking operations and
@@ -34,8 +36,7 @@ use std::sync::{PoisonError, RwLock};
 use mccls_pairing::{G1Affine, G2Affine, Gt};
 use mccls_rng::RngCore;
 
-use crate::backend::VerifierBackend;
-use crate::batch::{BatchItem, BatchOutcome};
+use crate::batch::{warm_batch_verify, BatchItem, BatchOutcome};
 use crate::mccls::McCls;
 use crate::ops;
 use crate::params::{SystemParams, UserPublicKey};
@@ -56,77 +57,16 @@ pub const DEFAULT_SHARD_CAPACITY: usize = 65_536;
 /// right-hand side `e(Q_ID, P_pub)` of the verification equation, plus
 /// the clock-eviction reference bit.
 #[derive(Debug)]
-pub(crate) struct CachedPeer {
+struct CachedPeer {
     /// The registered public key.
-    pub(crate) public: UserPublicKey,
+    public: UserPublicKey,
     /// The cached pairing constant `e(Q_ID, P_pub)`.
-    pub(crate) rhs: Gt,
+    rhs: Gt,
     /// Second-chance bit: set on every cache hit, cleared (once) by the
     /// sweeping clock hand before the entry becomes an eviction victim.
-    /// Atomic so read-path hits can mark recency under a shared
-    /// reference (a read lock, or `&self` on the single-threaded
-    /// verifier) without any interior-mutability cell.
+    /// Atomic so read-path hits can mark recency under a shard read
+    /// lock without any interior-mutability cell.
     referenced: AtomicBool,
-}
-
-impl CachedPeer {
-    pub(crate) fn new(public: UserPublicKey, rhs: Gt) -> Self {
-        Self {
-            public,
-            rhs,
-            referenced: AtomicBool::new(true),
-        }
-    }
-}
-
-/// Builds the cache entry for a peer: the identity-key rejection and
-/// the one-off pairing `e(Q_ID, P_pub)`. Shared by the single-threaded
-/// [`Verifier`](crate::Verifier) and the [`ShardedVerifier`] so their
-/// registration paths cannot drift; always called *outside* any lock.
-pub(crate) fn prepare_peer_entry(
-    params: &SystemParams,
-    id: &[u8],
-    public: UserPublicKey,
-) -> Result<CachedPeer, VerifyError> {
-    if public.has_identity_component() {
-        return Err(VerifyError::IdentityPublicKey);
-    }
-    let q_id = params.hash_identity(id);
-    let rhs = ops::pair_prepared(&q_id.to_affine(), params.prepared_p_pub());
-    Ok(CachedPeer::new(public, rhs))
-}
-
-/// The shared warm-verify tail: recompute the equation's left side for
-/// `(public, msg, sig)` and compare it against the cached right side
-/// `e(Q_ID, P_pub)`. Both verifier handles end here, so the certified
-/// one-pairing budget is provably the same arithmetic in each.
-pub(crate) fn settle_cached_verification(
-    public: &UserPublicKey,
-    rhs: &Gt,
-    msg: &[u8],
-    sig: &Signature,
-) -> Result<(), VerifyError> {
-    let lhs = McCls::verification_pairing(public, msg, sig)?;
-    if lhs == *rhs {
-        Ok(())
-    } else {
-        Err(VerifyError::PairingMismatch)
-    }
-}
-
-impl Clone for CachedPeer {
-    // `.into()` rather than `AtomicBool::new(..)`: the xtask call graph
-    // cannot resolve the `AtomicBool` qualifier and would fan a call
-    // named `new` out to every workspace constructor, dragging this
-    // `self` (which over-approximate `.clone()` dispatch can taint)
-    // into the hash and params taint domains.
-    fn clone(&self) -> Self {
-        Self {
-            public: self.public,
-            rhs: self.rhs,
-            referenced: self.referenced.load(Ordering::Relaxed).into(),
-        }
-    }
 }
 
 /// A capacity-bounded peer cache with clock (second-chance) eviction.
@@ -136,8 +76,8 @@ impl Clone for CachedPeer {
 /// hand, clearing bits until it finds an unreferenced victim to
 /// replace. Recently verified peers therefore survive churn, while a
 /// burst of one-shot registrations recycles its own slots.
-#[derive(Debug, Clone)]
-pub(crate) struct ClockMap {
+#[derive(Debug)]
+struct ClockMap {
     capacity: usize,
     entries: HashMap<Vec<u8>, CachedPeer>,
     ring: Vec<Vec<u8>>,
@@ -147,7 +87,7 @@ pub(crate) struct ClockMap {
 impl ClockMap {
     /// Creates an empty map bounded to `capacity` resident entries
     /// (clamped to at least one).
-    pub(crate) fn bounded(capacity: usize) -> Self {
+    fn bounded(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         Self {
             capacity,
@@ -165,21 +105,21 @@ impl ClockMap {
     // interprocedural taint and lock-order analyses with false edges.
 
     /// Number of resident entries.
-    pub(crate) fn resident(&self) -> usize {
+    fn resident(&self) -> usize {
         self.entries.len()
     }
 
     /// The residency bound this map was created with.
-    pub(crate) fn bound(&self) -> usize {
+    fn bound(&self) -> usize {
         self.capacity
     }
 
-    pub(crate) fn has_peer(&self, id: &[u8]) -> bool {
+    fn has_peer(&self, id: &[u8]) -> bool {
         self.entries.contains_key(id)
     }
 
     /// Looks up a peer, marking it recently used on a hit.
-    pub(crate) fn peek(&self, id: &[u8]) -> Option<&CachedPeer> {
+    fn peek(&self, id: &[u8]) -> Option<&CachedPeer> {
         let entry = self.entries.get(id)?;
         entry.referenced.store(true, Ordering::Relaxed);
         Some(entry)
@@ -188,7 +128,7 @@ impl ClockMap {
     /// Inserts or replaces a peer, evicting the clock victim first when
     /// the map is at capacity. Bookkeeping only — the expensive pairing
     /// behind `peer.rhs` was paid by the caller before any lock.
-    pub(crate) fn admit(&mut self, id: &[u8], peer: CachedPeer) {
+    fn admit(&mut self, id: &[u8], peer: CachedPeer) {
         if let Some(existing) = self.entries.get_mut(id) {
             *existing = peer;
             return;
@@ -229,7 +169,7 @@ impl ClockMap {
     /// returns whether it was resident. The ring shrinks with the
     /// entry, and the hand is clamped back into range so the next sweep
     /// starts from a valid slot.
-    pub(crate) fn expel(&mut self, id: &[u8]) -> bool {
+    fn expel(&mut self, id: &[u8]) -> bool {
         if self.entries.remove(id).is_none() {
             return false;
         }
@@ -251,7 +191,7 @@ impl ClockMap {
     /// cached `Gt` values are deliberately *not* exposed: snapshots
     /// carry keys, never pairing results (see
     /// [`ShardedVerifier::export_warm`]).
-    pub(crate) fn resident_peers(&self) -> Vec<(Vec<u8>, UserPublicKey)> {
+    fn resident_peers(&self) -> Vec<(Vec<u8>, UserPublicKey)> {
         self.entries
             .iter()
             .map(|(id, peer)| (id.clone(), peer.public))
@@ -327,9 +267,10 @@ fn shard_hash(id: &[u8]) -> u64 {
 /// the lock hold time in the nanoseconds while a verification costs
 /// milliseconds.
 ///
-/// This is the recommended entry point for multi-threaded services;
-/// the single-threaded [`Verifier`](crate::Verifier) remains the right
-/// choice inside one simulation or protocol task.
+/// [`ShardedVerifier::new`] is shaped for multi-threaded services; a
+/// single simulation or protocol task builds one shard with
+/// [`ShardedVerifier::with_shape`]. The warm and cold paths are the same
+/// arithmetic at any shape.
 ///
 /// # Examples
 ///
@@ -359,6 +300,11 @@ pub struct ShardedVerifier {
     params: SystemParams,
     shards: Vec<RwLock<ClockMap>>,
 }
+
+/// Former name of the single-threaded verifier, kept only because the
+/// benchmark package (`perfbench/`) still spells it. It is the same type
+/// as [`ShardedVerifier`], not a second code path.
+pub type Verifier = ShardedVerifier;
 
 impl ShardedVerifier {
     /// Creates a registry with [`DEFAULT_SHARDS`] shards of
@@ -438,7 +384,16 @@ impl ShardedVerifier {
     /// make every later pairing against them trivially constant.
     // opcount-budget: registry.register_peer
     pub fn register_peer(&self, id: &[u8], public: UserPublicKey) -> Result<(), VerifyError> {
-        let peer = prepare_peer_entry(&self.params, id, public)?;
+        if public.has_identity_component() {
+            return Err(VerifyError::IdentityPublicKey);
+        }
+        let q_id = self.params.hash_identity(id);
+        let rhs = ops::pair_prepared(&q_id.to_affine(), self.params.prepared_p_pub());
+        let peer = CachedPeer {
+            public,
+            rhs,
+            referenced: true.into(),
+        };
         // Poisoning is recovered, not propagated (see module docs): the
         // critical section below is pure map bookkeeping.
         let mut shard = self
@@ -458,17 +413,13 @@ impl ShardedVerifier {
     /// `Gt` and the public key out of the map.
     // opcount-budget: registry.verify
     pub fn verify(&self, id: &[u8], msg: &[u8], sig: &Signature) -> Result<(), VerifyError> {
-        let cached = {
-            let shard = self
-                .shard(id)
-                .read()
-                .unwrap_or_else(PoisonError::into_inner);
-            shard.peek(id).map(|peer| (peer.public, peer.rhs))
-        };
-        let Some((public, rhs)) = cached else {
-            return Err(VerifyError::UnknownPeer);
-        };
-        settle_cached_verification(&public, &rhs, msg, sig)
+        let (public, rhs) = self.warm_entry(id).ok_or(VerifyError::UnknownPeer)?;
+        let lhs = McCls::verification_pairing(&public, msg, sig)?;
+        if lhs == rhs {
+            Ok(())
+        } else {
+            Err(VerifyError::PairingMismatch)
+        }
     }
 
     /// Parses `bytes` as a wire-format signature and verifies it.
@@ -480,10 +431,8 @@ impl ShardedVerifier {
     /// Verifies against an explicitly supplied public key, registering
     /// it (or replacing a stale or evicted entry) as a side effect —
     /// the entry point for protocols that carry the key in-band.
-    ///
-    /// Unlike [`Verifier::verify_with_key`](crate::Verifier::verify_with_key)
-    /// this takes `&self`: registration synchronizes through the shard
-    /// lock, so any number of threads may call it concurrently.
+    /// Registration synchronizes through the shard lock, so any number
+    /// of threads may call it concurrently.
     pub fn verify_with_key(
         &self,
         id: &[u8],
@@ -491,13 +440,9 @@ impl ShardedVerifier {
         msg: &[u8],
         sig: &Signature,
     ) -> Result<(), VerifyError> {
-        let cached_matches = {
-            let shard = self
-                .shard(id)
-                .read()
-                .unwrap_or_else(PoisonError::into_inner);
-            shard.peek(id).is_some_and(|peer| peer.public == *public)
-        };
+        let cached_matches = self
+            .warm_entry(id)
+            .is_some_and(|(cached, _)| cached == *public);
         if !cached_matches {
             self.register_peer(id, *public)?;
         }
@@ -516,7 +461,35 @@ impl ShardedVerifier {
     /// pairing work (and any bisection of a dirty batch) runs with no
     /// lock held.
     pub fn verify_batch(&self, items: &[BatchItem<'_>], rng: &mut dyn RngCore) -> BatchOutcome {
-        self.authenticate_batch(items, rng)
+        warm_batch_verify(&self.params, items, rng, &|id| self.warm_entry(id), None)
+    }
+
+    /// Drops a peer's cached state; returns whether it was present.
+    /// Later verifications for the identity re-pay the registration
+    /// pairing — the hook for revocation and targeted cache
+    /// invalidation (clock eviction handles capacity pressure on its
+    /// own).
+    pub fn expel_peer(&self, id: &[u8]) -> bool {
+        let mut shard = self
+            .shard(id)
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
+        shard.expel(id)
+    }
+
+    /// Copies a peer's cached `(public key, e(Q_ID, P_pub))` pair out
+    /// under a short shard read guard, marking it recently used. Every
+    /// warm path reads the cache through here, so no pairing work ever
+    /// runs under the guard.
+    // validated: copies out a cache entry admitted by register_peer,
+    // which rejected identity components and derived the Gt from a
+    // trusted pairing; the id bytes are only used as a map key.
+    fn warm_entry(&self, id: &[u8]) -> Option<(UserPublicKey, Gt)> {
+        let shard = self
+            .shard(id)
+            .read()
+            .unwrap_or_else(PoisonError::into_inner);
+        shard.peek(id).map(|peer| (peer.public, peer.rhs))
     }
 
     /// Serializes the registered peer set as a warm-cache snapshot that
@@ -630,53 +603,6 @@ impl ShardedVerifier {
     }
 }
 
-impl VerifierBackend for ShardedVerifier {
-    fn backend_params(&self) -> &SystemParams {
-        &self.params
-    }
-
-    fn enroll_peer(&mut self, id: &[u8], public: UserPublicKey) -> Result<(), VerifyError> {
-        self.register_peer(id, public)
-    }
-
-    fn expel_peer(&mut self, id: &[u8]) -> bool {
-        let mut shard = self
-            .shard(id)
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
-        shard.expel(id)
-    }
-
-    fn peer_registered(&self, id: &[u8]) -> bool {
-        self.knows_peer(id)
-    }
-
-    fn authenticate(&self, id: &[u8], msg: &[u8], sig: &Signature) -> Result<(), VerifyError> {
-        self.verify(id, msg, sig)
-    }
-
-    fn authenticate_with_key(
-        &mut self,
-        id: &[u8],
-        public: &UserPublicKey,
-        msg: &[u8],
-        sig: &Signature,
-    ) -> Result<(), VerifyError> {
-        self.verify_with_key(id, public, msg, sig)
-    }
-
-    // validated: copies out a cache entry admitted by register_peer,
-    // which rejected identity components and derived the Gt from a
-    // trusted pairing; the id bytes are only used as a map key.
-    fn warm_entry(&self, id: &[u8]) -> Option<(UserPublicKey, Gt)> {
-        let shard = self
-            .shard(id)
-            .read()
-            .unwrap_or_else(PoisonError::into_inner);
-        shard.peek(id).map(|peer| (peer.public, peer.rhs))
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)] // tests may panic freely
 mod tests {
@@ -712,7 +638,11 @@ mod tests {
         let (registry, params, partial, keys, mut rng) = world();
         let scheme = McCls::new();
         let sig = scheme.sign(&params, b"alice", &partial, &keys, b"m", &mut rng);
-        assert_eq!(registry.verify(b"alice", b"m", &sig), Ok(()));
+        let (res, counts) = ops::measure(|| registry.verify(b"alice", b"m", &sig));
+        assert_eq!(res, Ok(()));
+        assert_eq!(counts.pairings, 1, "Table 1: verify = 1p with warm cache");
+        assert_eq!(counts.miller_loops, 1, "exactly one Miller loop");
+        assert_eq!(counts.final_exps, 1, "exactly one final exponentiation");
         assert!(registry.is_valid(b"alice", b"m", &sig));
         assert_eq!(
             registry.verify(b"alice", b"other", &sig),
@@ -743,7 +673,7 @@ mod tests {
     }
 
     #[test]
-    fn verify_with_key_registers_and_survives_eviction() {
+    fn verify_with_key_registers_and_replaces() {
         let (registry, params, partial, keys, mut rng) = world();
         let scheme = McCls::new();
         let bob = scheme.generate_key_pair(&params, &mut rng);
@@ -759,6 +689,19 @@ mod tests {
             Ok(())
         );
         assert!(registry.knows_peer(b"bob"));
+        assert_eq!(registry.peer_count(), 2);
+        // A different key for the same identity replaces the entry and
+        // must reject the old signature.
+        let bob2 = scheme.generate_key_pair(&params, &mut rng);
+        assert_eq!(
+            registry.verify_with_key(b"bob", &bob2.public, b"m", &sig),
+            Err(VerifyError::PairingMismatch)
+        );
+        // Re-verifying with the original key restores acceptance.
+        assert_eq!(
+            registry.verify_with_key(b"bob", &bob.public, b"m", &sig),
+            Ok(())
+        );
         let _ = (partial, keys);
     }
 
@@ -768,15 +711,18 @@ mod tests {
         let scheme = McCls::new();
         let (params, _) = scheme.setup(&mut rng);
         let keys = scheme.generate_key_pair(&params, &mut rng);
-        let registry = ShardedVerifier::with_shape(params, 2, 4);
-        assert_eq!(registry.capacity(), 8);
-        for i in 0..64u32 {
-            registry
-                .register_peer(format!("peer-{i}").as_bytes(), keys.public)
-                .unwrap();
-            assert!(registry.peer_count() <= registry.capacity());
+        // The service shape and the one-shard shape a single task uses.
+        for (shards, per_shard) in [(2, 4), (1, 3)] {
+            let registry = ShardedVerifier::with_shape(params.clone(), shards, per_shard);
+            assert_eq!(registry.capacity(), shards * per_shard);
+            for i in 0..64u32 {
+                registry
+                    .register_peer(format!("peer-{i}").as_bytes(), keys.public)
+                    .unwrap();
+                assert!(registry.peer_count() <= registry.capacity());
+            }
+            assert_eq!(registry.peer_count(), registry.capacity());
         }
-        assert!(registry.peer_count() >= 1);
     }
 
     #[test]
@@ -803,7 +749,6 @@ mod tests {
         let (registry, params, partial, keys, mut rng) = world();
         let scheme = McCls::new();
         let sig = scheme.sign(&params, b"alice", &partial, &keys, b"m", &mut rng);
-        let mut registry = registry;
         assert!(registry.expel_peer(b"alice"));
         assert!(!registry.knows_peer(b"alice"));
         assert!(!registry.expel_peer(b"alice"), "second expel is a no-op");
@@ -841,6 +786,18 @@ mod tests {
         assert_eq!(counts.miller_loops, 2);
         assert_eq!(counts.final_exps, 1);
         assert_eq!(counts.gt_exps, 1);
+        // A mismatched in-band key falls back to the cold path instead
+        // of trusting the stale cache entry.
+        let stale = scheme.generate_key_pair(&params, &mut rng);
+        let cold_items = [BatchItem {
+            id: b"alice",
+            public: &stale.public,
+            msg: b"m",
+            sig: &sig,
+        }];
+        let (cold, cold_counts) = ops::measure(|| registry.verify_batch(&cold_items, &mut rng));
+        assert!(!cold.all_valid(), "stale-key signature must not pass warm");
+        assert_eq!(cold_counts.hashes_to_g1, 1, "cold fallback hashes the id");
     }
 
     #[test]

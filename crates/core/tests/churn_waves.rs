@@ -2,11 +2,12 @@
 //!
 //! A mobile wireless CPS fleet is never a fixed peer set — nodes join
 //! (KGC partial-key extraction + enrollment pairing), roam, and leave
-//! (revocation via [`VerifierBackend::expel_peer`]). These tests drive
+//! (revocation via [`ShardedVerifier::expel_peer`]). These tests drive
 //! that lifecycle in waves over the [`ShardedVerifier`], cross-checking
-//! every verdict bit-for-bit against the single-threaded [`Verifier`]
-//! oracle through the common [`VerifierBackend`] surface, and holding
-//! the `ClockMap` residency bound at every step.
+//! every verdict bit-for-bit against a naive oracle — the set of
+//! resident ids plus stateless [`McCls`] verification, which recomputes
+//! `e(Q_ID, P_pub)` every time — and holding the `ClockMap` residency
+//! bound at every step.
 //!
 //! The default run is scaled down so `cargo test` stays fast in debug
 //! builds; set `MCCLS_CHURN_FULL=1` to run the full 5,000-peer fleet
@@ -15,9 +16,11 @@
 // Tests may panic freely; that is how they fail.
 #![allow(clippy::expect_used, clippy::unwrap_used, clippy::panic)]
 
+use std::collections::HashSet;
+
 use mccls_core::{
-    CertificatelessScheme, McCls, ShardedVerifier, Signature, SystemParams, UserKeyPair, Verifier,
-    VerifierBackend, VerifyError,
+    CertificatelessScheme, McCls, ShardedVerifier, Signature, SystemParams, UserKeyPair,
+    VerifyError,
 };
 use mccls_rng::rngs::StdRng;
 use mccls_rng::SeedableRng;
@@ -80,6 +83,20 @@ fn build_fleet(n: usize) -> (SystemParams, Vec<Peer>) {
     (params, fleet)
 }
 
+/// The oracle's verdict: `UnknownPeer` for an id that is not resident,
+/// otherwise whatever stateless verification — no cache at all — says.
+fn oracle_verdict(
+    params: &SystemParams,
+    resident: &HashSet<Vec<u8>>,
+    p: &Peer,
+    msg: &[u8],
+) -> Result<(), VerifyError> {
+    if !resident.contains(&p.id) {
+        return Err(VerifyError::UnknownPeer);
+    }
+    McCls::new().verify(params, &p.id, &p.keys.public, msg, &p.good)
+}
+
 /// The wave schedule: peers are partitioned into [`WAVES`] chunks;
 /// wave `w` enrolls chunk `w` and expels chunk `w - 1`, so the resident
 /// set slides across the fleet the way a convoy rolls through a
@@ -90,24 +107,24 @@ fn chunk_bounds(n: usize, w: usize) -> std::ops::Range<usize> {
 }
 
 #[test]
-fn join_leave_waves_match_the_single_threaded_oracle() {
+fn join_leave_waves_match_the_naive_oracle() {
     let n = fleet_size();
     let (params, fleet) = build_fleet(n);
-    // Both handles sized to hold two consecutive chunks without clock
-    // eviction, so every verdict below is decided by churn alone.
-    let mut oracle = Verifier::with_peer_capacity(params.clone(), n);
-    let mut registry = ShardedVerifier::with_shape(params, 16, n.div_ceil(16));
+    // The registry is sized to hold two consecutive chunks without
+    // clock eviction, so every verdict below is decided by churn alone.
+    let mut resident: HashSet<Vec<u8>> = HashSet::new();
+    let registry = ShardedVerifier::with_shape(params.clone(), 16, n.div_ceil(16));
 
     for w in 0..WAVES {
         for i in chunk_bounds(n, w) {
             let p = &fleet[i];
-            oracle.enroll_peer(&p.id, p.keys.public).unwrap();
-            registry.enroll_peer(&p.id, p.keys.public).unwrap();
+            resident.insert(p.id.clone());
+            registry.register_peer(&p.id, p.keys.public).unwrap();
         }
         if w > 0 {
             for i in chunk_bounds(n, w - 1) {
                 let p = &fleet[i];
-                assert!(oracle.expel_peer(&p.id), "oracle lost a resident peer");
+                assert!(resident.remove(&p.id), "oracle lost a resident peer");
                 assert!(registry.expel_peer(&p.id), "registry lost a resident peer");
             }
         }
@@ -122,30 +139,30 @@ fn join_leave_waves_match_the_single_threaded_oracle() {
         // registry must say bit-for-bit.
         for i in (0..n).step_by(check_stride(n)) {
             let p = &fleet[i];
-            let want_good = oracle.authenticate(&p.id, &p.msg, &p.good);
+            let want_good = oracle_verdict(&params, &resident, p, &p.msg);
             assert_eq!(
-                registry.authenticate(&p.id, &p.msg, &p.good),
+                registry.verify(&p.id, &p.msg, &p.good),
                 want_good,
                 "wave {w}: verdict diverged for peer {i}"
             );
-            let want_bad = oracle.authenticate(&p.id, b"tampered payload", &p.good);
+            let want_bad = oracle_verdict(&params, &resident, p, b"tampered payload");
             assert_eq!(
-                registry.authenticate(&p.id, b"tampered payload", &p.good),
+                registry.verify(&p.id, b"tampered payload", &p.good),
                 want_bad,
                 "wave {w}: tamper verdict diverged for peer {i}"
             );
         }
         // The current chunk is resident and genuine; the previous one
-        // is gone from both handles.
+        // is gone from both the registry and the oracle.
         let head = chunk_bounds(n, w).start;
         assert_eq!(
-            registry.authenticate(&fleet[head].id, &fleet[head].msg, &fleet[head].good),
+            registry.verify(&fleet[head].id, &fleet[head].msg, &fleet[head].good),
             Ok(())
         );
         if w > 0 {
             let expelled = chunk_bounds(n, w - 1).start;
             assert_eq!(
-                registry.authenticate(
+                registry.verify(
                     &fleet[expelled].id,
                     &fleet[expelled].msg,
                     &fleet[expelled].good
@@ -158,14 +175,14 @@ fn join_leave_waves_match_the_single_threaded_oracle() {
     // Re-join after revocation: an expelled peer re-pays enrollment and
     // verifies again — leaving is not forever.
     let p = &fleet[0];
-    assert!(!registry.peer_registered(&p.id));
-    registry.enroll_peer(&p.id, p.keys.public).unwrap();
-    oracle.enroll_peer(&p.id, p.keys.public).unwrap();
+    assert!(!registry.knows_peer(&p.id));
+    registry.register_peer(&p.id, p.keys.public).unwrap();
+    resident.insert(p.id.clone());
     assert_eq!(
-        registry.authenticate(&p.id, &p.msg, &p.good),
-        oracle.authenticate(&p.id, &p.msg, &p.good)
+        registry.verify(&p.id, &p.msg, &p.good),
+        oracle_verdict(&params, &resident, p, &p.msg)
     );
-    assert_eq!(registry.authenticate(&p.id, &p.msg, &p.good), Ok(()));
+    assert_eq!(registry.verify(&p.id, &p.msg, &p.good), Ok(()));
 }
 
 #[test]
@@ -180,7 +197,7 @@ fn churn_waves_never_exceed_the_clock_map_residency_bound() {
 
     // A registry far smaller than the fleet: every wave forces clock
     // eviction in some shard.
-    let mut registry = ShardedVerifier::with_shape(params, 4, n.div_ceil(64).max(2));
+    let registry = ShardedVerifier::with_shape(params, 4, n.div_ceil(64).max(2));
     let bound = registry.capacity();
     let ids: Vec<Vec<u8>> = (0..n)
         .map(|i| format!("churn-wave-{i}").into_bytes())
@@ -188,7 +205,7 @@ fn churn_waves_never_exceed_the_clock_map_residency_bound() {
 
     for w in 0..WAVES {
         for i in chunk_bounds(n, w) {
-            registry.enroll_peer(&ids[i], keys.public).unwrap();
+            registry.register_peer(&ids[i], keys.public).unwrap();
             assert!(
                 registry.peer_count() <= bound,
                 "wave {w}: clock eviction let residency pass the bound"
@@ -199,7 +216,7 @@ fn churn_waves_never_exceed_the_clock_map_residency_bound() {
         if w > 0 {
             for i in chunk_bounds(n, w - 1) {
                 registry.expel_peer(&ids[i]);
-                assert!(!registry.peer_registered(&ids[i]));
+                assert!(!registry.knows_peer(&ids[i]));
                 assert!(registry.peer_count() <= bound);
             }
         }

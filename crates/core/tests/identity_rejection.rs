@@ -10,7 +10,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use mccls_core::{
-    Ap, CertificatelessScheme, McCls, Signature, UserPublicKey, Verifier, VerifyError, Yhg, Zwxf,
+    Ap, CertificatelessScheme, McCls, ShardedVerifier, Signature, UserPublicKey, VerifyError, Yhg,
+    Zwxf,
 };
 use mccls_pairing::{G1Projective, G2Projective};
 use mccls_rng::SeedableRng;
@@ -150,7 +151,7 @@ fn honest_signatures_still_verify() {
 #[test]
 fn verifier_refuses_to_register_identity_keys() {
     let f = fixtures().remove(0);
-    let mut verifier = Verifier::new(f.params.clone());
+    let verifier = ShardedVerifier::new(f.params.clone());
     let bad = UserPublicKey {
         primary: G2Projective::identity(),
         ..f.public

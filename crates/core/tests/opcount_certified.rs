@@ -11,7 +11,7 @@
 
 use mccls_core::{
     all_schemes, batch_verify, ops, BatchItem, CertificatelessScheme, Kgc, ShardedVerifier,
-    Signature, UserKeyPair, Verifier,
+    Signature, UserKeyPair,
 };
 use mccls_rng::rngs::StdRng;
 use mccls_rng::SeedableRng;
@@ -126,46 +126,12 @@ fn mccls_meets_its_table1_row() {
     // Warm verification costs one pairing: one Miller loop plus one
     // final exponentiation, with the peer constant cached.
     let warm = budgets
-        .get("verifier.verify")
-        .expect("verifier.verify entry");
+        .get("registry.verify")
+        .expect("registry.verify entry");
     let eval = |slot: usize| warm.budget.0[slot].eval(0).expect("bounded");
     assert_eq!(eval(0), 1, "warm verify pairings");
     assert_eq!(eval(1), 1, "warm verify Miller loops");
     assert_eq!(eval(2), 1, "warm verify final exponentiations");
-}
-
-#[test]
-fn stateful_verifier_paths_measure_their_certified_budgets() {
-    let budgets = committed_budgets();
-    let scheme = mccls_core::McCls::new();
-    let (kgc, signer) = setup(&scheme, 0xBEEF);
-    let params = kgc.params().clone();
-    let partial = scheme.extract_partial_private_key(&kgc, &signer.id);
-    let mut rng = StdRng::seed_from_u64(11);
-    let sig = scheme.sign(
-        &params,
-        &signer.id,
-        &partial,
-        &signer.keys,
-        &signer.sig_input,
-        &mut rng,
-    );
-
-    let mut verifier = Verifier::new(params);
-    let (res, cold_counts) =
-        ops::measure(|| verifier.register_peer(&signer.id, signer.keys.public));
-    assert_eq!(res, Ok(()));
-    let cold = budgets
-        .get("verifier.register_peer")
-        .expect("verifier.register_peer entry");
-    assert_matches(cold, &cold_counts, 0, "cold registration");
-
-    let (res, warm_counts) = ops::measure(|| verifier.verify(&signer.id, &signer.sig_input, &sig));
-    assert_eq!(res, Ok(()));
-    let warm = budgets
-        .get("verifier.verify")
-        .expect("verifier.verify entry");
-    assert_matches(warm, &warm_counts, 0, "warm verification");
 }
 
 #[test]
@@ -200,24 +166,6 @@ fn sharded_registry_paths_measure_their_certified_budgets() {
         .get("registry.verify")
         .expect("registry.verify entry");
     assert_matches(warm, &warm_counts, 0, "sharded warm verification");
-
-    // Sharding must not change the arithmetic: the registry's warm and
-    // cold budgets are the single-threaded verifier's, counter for
-    // counter.
-    for (reg, single) in [
-        ("registry.verify", "verifier.verify"),
-        ("registry.register_peer", "verifier.register_peer"),
-    ] {
-        let r = budgets.get(reg).expect("registry entry");
-        let s = budgets.get(single).expect("verifier entry");
-        for slot in 0..mccls_xtask::opcount::COUNTERS.len() {
-            assert_eq!(
-                r.budget.0[slot].eval(0),
-                s.budget.0[slot].eval(0),
-                "`{reg}` and `{single}` diverge in slot {slot}"
-            );
-        }
-    }
 }
 
 #[test]

@@ -5,9 +5,10 @@
 //! wall-clock watchdog: the statically certified lock-order acyclicity
 //! (xtask `concurrency` lint) predicts the registry cannot deadlock,
 //! and this test would catch the analysis being wrong at runtime. Every
-//! concurrent verdict is also cross-checked bit-for-bit against the
-//! single-threaded [`Verifier`], and residency must never exceed the
-//! configured bound.
+//! concurrent verdict is also cross-checked bit-for-bit against a naive
+//! oracle — the set of resident ids plus stateless [`McCls`]
+//! verification, which recomputes `e(Q_ID, P_pub)` every time — and
+//! residency must never exceed the configured bound.
 //!
 //! The CI nightly job additionally runs this file under
 //! ThreadSanitizer (`RUSTFLAGS=-Zsanitizer=thread`), which turns the
@@ -16,11 +17,12 @@
 // Tests may panic freely; that is how they fail.
 #![allow(clippy::expect_used, clippy::unwrap_used, clippy::panic)]
 
+use std::collections::HashSet;
 use std::sync::mpsc;
 use std::time::Duration;
 
 use mccls_core::{
-    CertificatelessScheme, McCls, ShardedVerifier, Signature, SystemParams, UserKeyPair, Verifier,
+    CertificatelessScheme, McCls, ShardedVerifier, Signature, SystemParams, UserKeyPair,
     VerifyError,
 };
 use mccls_rng::rngs::StdRng;
@@ -81,16 +83,27 @@ fn with_deadlock_watchdog(body: impl FnOnce() + Send + 'static) {
     }
 }
 
+/// The oracle's verdict: `UnknownPeer` for an id that is not resident,
+/// otherwise whatever stateless verification — no cache at all — says.
+fn oracle_verdict(
+    params: &SystemParams,
+    resident: &HashSet<Vec<u8>>,
+    p: &Peer,
+    msg: &[u8],
+) -> Result<(), VerifyError> {
+    if !resident.contains(&p.id) {
+        return Err(VerifyError::UnknownPeer);
+    }
+    McCls::new().verify(params, &p.id, &p.keys.public, msg, &p.good)
+}
+
 #[test]
-fn concurrent_verdicts_match_the_single_threaded_verifier() {
+fn concurrent_verdicts_match_the_naive_oracle() {
     let (params, peers) = build_world(24);
     with_deadlock_watchdog(move || {
-        // The single-threaded oracle: same params, every peer warm.
-        let mut oracle = Verifier::new(params.clone());
-        for p in &peers {
-            oracle.register_peer(&p.id, p.keys.public).unwrap();
-        }
-        let registry = ShardedVerifier::new(params);
+        // The oracle: same params, every peer resident.
+        let resident: HashSet<Vec<u8>> = peers.iter().map(|p| p.id.clone()).collect();
+        let registry = ShardedVerifier::new(params.clone());
         for p in &peers {
             registry.register_peer(&p.id, p.keys.public).unwrap();
         }
@@ -101,8 +114,8 @@ fn concurrent_verdicts_match_the_single_threaded_verifier() {
             .iter()
             .map(|p| {
                 (
-                    oracle.verify(&p.id, &p.msg, &p.good),
-                    oracle.verify(&p.id, b"tampered payload", &p.good),
+                    oracle_verdict(&params, &resident, p, &p.msg),
+                    oracle_verdict(&params, &resident, p, b"tampered payload"),
                 )
             })
             .collect();

@@ -14,7 +14,7 @@
 use std::time::Instant;
 
 use mccls::cls::{
-    batch_verify, BatchItem, CertificatelessScheme, McCls, OfflineSigner, VerifierCache,
+    batch_verify, BatchItem, CertificatelessScheme, McCls, OfflineSigner, ShardedVerifier,
 };
 use mccls_rng::SeedableRng;
 
@@ -53,13 +53,13 @@ fn main() {
         .collect();
 
     // Sink, path A: verify one by one (with the pairing cache warm).
-    let mut cache = VerifierCache::new();
+    let sink = ShardedVerifier::new(params.clone());
     for ((id, _, keys), ((_, msg), sig)) in sensors.iter().zip(readings.iter().zip(&sigs)) {
-        assert!(cache.verify(&params, id, &keys.public, msg, sig).is_ok());
+        assert!(sink.verify_with_key(id, &keys.public, msg, sig).is_ok());
     }
     let t = Instant::now();
     for ((id, _, keys), ((_, msg), sig)) in sensors.iter().zip(readings.iter().zip(&sigs)) {
-        assert!(cache.verify(&params, id, &keys.public, msg, sig).is_ok());
+        assert!(sink.verify_with_key(id, &keys.public, msg, sig).is_ok());
     }
     let one_by_one = t.elapsed();
 

@@ -6,7 +6,7 @@
 // Demo code: panicking on a broken invariant is the right failure mode.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use mccls::cls::{CertificatelessScheme, McCls, Signature, VerifierCache};
+use mccls::cls::{CertificatelessScheme, McCls, ShardedVerifier, Signature};
 use mccls_rng::SeedableRng;
 
 fn main() {
@@ -61,10 +61,14 @@ fn main() {
 
     // 7. Repeated verification of the same peer costs one pairing with
     //    the cached constant e(Q_ID, P_pub).
-    let mut cache = VerifierCache::new();
-    assert!(cache.verify(&params, id, &keys.public, msg, &sig).is_ok());
+    let verifier = ShardedVerifier::new(params);
+    assert!(verifier
+        .verify_with_key(id, &keys.public, msg, &sig)
+        .is_ok());
     let t = std::time::Instant::now();
-    assert!(cache.verify(&params, id, &keys.public, msg, &sig).is_ok());
+    assert!(verifier
+        .verify_with_key(id, &keys.public, msg, &sig)
+        .is_ok());
     println!(
         "cached verify: {:?} (one pairing + three scalar mults).",
         t.elapsed()

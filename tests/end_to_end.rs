@@ -5,7 +5,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use mccls::aodv::{Behavior, Network, ScenarioConfig};
-use mccls::cls::{CertificatelessScheme, McCls, Signature, VerifierCache};
+use mccls::cls::{CertificatelessScheme, McCls, ShardedVerifier, Signature};
 use mccls::sim::SimDuration;
 use mccls_rng::SeedableRng;
 
@@ -17,7 +17,7 @@ fn full_key_hierarchy_and_signature_lifecycle() {
 
     // Enroll a fleet of nodes, each with its own identity.
     let ids: Vec<Vec<u8>> = (0..5u8).map(|i| format!("node-{i}").into_bytes()).collect();
-    let mut cache = VerifierCache::new();
+    let verifier = ShardedVerifier::new(params.clone());
     for id in &ids {
         let partial = scheme.extract_partial_private_key(&kgc, id);
         assert!(partial.validate(&params, id));
@@ -30,8 +30,8 @@ fn full_key_hierarchy_and_signature_lifecycle() {
         assert!(scheme
             .verify(&params, id, &keys.public, &msg, &parsed)
             .is_ok());
-        assert!(cache
-            .verify(&params, id, &keys.public, &msg, &parsed)
+        assert!(verifier
+            .verify_with_key(id, &keys.public, &msg, &parsed)
             .is_ok());
         // Identity binding across the fleet.
         for other in &ids {
@@ -42,7 +42,7 @@ fn full_key_hierarchy_and_signature_lifecycle() {
             }
         }
     }
-    assert_eq!(cache.len(), ids.len());
+    assert_eq!(verifier.peer_count(), ids.len());
 }
 
 #[test]
