@@ -3,10 +3,11 @@
 //!
 //! The paper's one-pairing verify rests on caching the per-peer
 //! constant `e(Q_ID, P_pub)`. This module holds that cache for every
-//! caller, with the shard count as the only knob: a single-threaded
-//! protocol task (one simulated node, one sink) builds one shard with
-//! [`ShardedVerifier::with_shape`], and a multi-threaded service
-//! holding state for on the order of a million peers uses
+//! caller. Its shape is two values, the shard count and the per-shard
+//! capacity, both set through [`ShardedVerifier::with_shape`]: a
+//! single-threaded protocol task (one simulated node, one sink) builds
+//! one shard, and a multi-threaded service holding state for on the
+//! order of a million peers takes the defaults of
 //! [`ShardedVerifier::new`]. Either way the cache keeps two properties
 //! the xtask `concurrency` lint certifies from source:
 //!
@@ -786,6 +787,28 @@ mod tests {
         assert_eq!(counts.miller_loops, 2);
         assert_eq!(counts.final_exps, 1);
         assert_eq!(counts.gt_exps, 1);
+        // Two warm entries, the second tampered: bisection isolates it
+        // and the honest entry keeps its verdict.
+        let sig_b = scheme.sign(&params, b"alice", &partial, &keys, b"b", &mut rng);
+        let pair = [
+            items[0].clone(),
+            BatchItem {
+                id: b"alice",
+                public: &keys.public,
+                msg: b"tampered",
+                sig: &sig_b,
+            },
+        ];
+        let (mixed, mixed_counts) = ops::measure(|| registry.verify_batch(&pair, &mut rng));
+        assert!(!mixed.all_valid());
+        assert_eq!(mixed.invalid_indices(), vec![1]);
+        assert_eq!(
+            mixed.verdicts().first(),
+            Some(&crate::batch::Verdict::Ok),
+            "warm batching must not punish the honest entry"
+        );
+        assert_eq!(mixed_counts.hashes_to_g1, 0, "both entries are warm");
+        assert_eq!(mixed_counts.gt_exps, 2, "one Gt exponentiation each");
         // A mismatched in-band key falls back to the cold path instead
         // of trusting the stale cache entry.
         let stale = scheme.generate_key_pair(&params, &mut rng);
