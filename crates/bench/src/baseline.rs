@@ -1,12 +1,20 @@
 //! Reading, writing, and regression-checking the committed benchmark
-//! baselines (`BENCH_pairing.json` and `BENCH_throughput.json` at the
-//! repository root).
+//! baselines (`BENCH_pairing.json`, `BENCH_throughput.json`,
+//! `BENCH_batch.json` and `BENCH_sim.json` at the repository root),
+//! plus the command line and gate every baseline-gated harness shares
+//! ([`Opts`]).
 //!
 //! The workspace has no serde, so the format is a deliberately small
 //! JSON subset written and parsed by hand: a `results` array of
 //! `{"id": ..., "median_ns": ...}` objects. [`parse`] only needs to
 //! read back what [`render`] wrote, but it is tolerant of whitespace
 //! and field reordering so hand edits don't break the gate.
+
+use std::path::PathBuf;
+use std::process::ExitCode;
+
+/// Median regression budget against the committed baseline.
+const REGRESSION_FACTOR: f64 = 10.0;
 
 /// One benchmark's committed number.
 #[derive(Debug, Clone, PartialEq)]
@@ -17,17 +25,10 @@ pub struct Entry {
     pub median_ns: f64,
 }
 
-/// Renders entries as the committed JSON document with the
-/// pairing-precompute schema tag.
-pub fn render(mode: &str, entries: &[Entry]) -> String {
-    render_with_schema("mccls-bench/pairing_precompute/v1", mode, entries)
-}
-
-/// Renders entries under an explicit schema tag — each committed
-/// baseline file (`BENCH_pairing.json`, `BENCH_throughput.json`)
-/// carries its own so a stray copy can't silently gate the wrong
-/// harness.
-pub fn render_with_schema(schema: &str, mode: &str, entries: &[Entry]) -> String {
+/// Renders entries as a committed JSON document under `schema` — each
+/// baseline file carries its own tag so a stray copy can't silently
+/// gate the wrong harness.
+pub fn render(schema: &str, mode: &str, entries: &[Entry]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!("  \"schema\": \"{schema}\",\n"));
@@ -94,12 +95,19 @@ fn number_field(body: &str, key: &str) -> Option<f64> {
 
 /// Compares current medians against the committed baseline and returns
 /// one human-readable line per benchmark that regressed by more than
-/// `factor`. Benchmarks present on only one side are ignored — adding a
-/// new benchmark must not fail CI until its number is committed.
+/// `factor`, and one per committed benchmark the run no longer produces
+/// (a renamed or deleted row would otherwise gate nothing). Rows only
+/// the current run has are ignored — adding a new benchmark must not
+/// fail CI until its number is committed.
 pub fn regressions(current: &[Entry], baseline: &[Entry], factor: f64) -> Vec<String> {
     let mut out = Vec::new();
-    for cur in current {
-        let Some(base) = baseline.iter().find(|b| b.id == cur.id) else {
+    for base in baseline {
+        let Some(cur) = current.iter().find(|c| c.id == base.id) else {
+            out.push(format!(
+                "{}: committed in the baseline but missing from this run \
+                 (regenerate with --update-baseline if it was renamed or deleted)",
+                base.id
+            ));
             continue;
         };
         if base.median_ns > 0.0 && cur.median_ns > base.median_ns * factor {
@@ -113,6 +121,114 @@ pub fn regressions(current: &[Entry], baseline: &[Entry], factor: f64) -> Vec<St
         }
     }
     out
+}
+
+/// The command line shared by the baseline-gated harnesses:
+/// `[--smoke] [--update-baseline] [--baseline <path>]`.
+#[derive(Debug)]
+pub struct Opts {
+    /// Shrink sample counts for CI.
+    pub smoke: bool,
+    /// Rewrite the baseline from this run instead of gating against it.
+    pub update_baseline: bool,
+    /// The baseline file to gate against or rewrite.
+    pub baseline_path: PathBuf,
+    /// Schema tag written into the baseline file.
+    pub schema: &'static str,
+}
+
+impl Opts {
+    /// Parses the process arguments for the harness whose committed
+    /// baseline is `file` (at the repository root) under `schema`. An
+    /// unknown flag or a `--baseline` without a path prints the usage
+    /// and exits with code 2, so a typo never silently runs full mode.
+    pub fn from_args(file: &str, schema: &'static str) -> Self {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        let default_path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("../..")
+            .join(file);
+        match Self::parse(&args, default_path, schema) {
+            Ok(opts) => opts,
+            Err(err) => {
+                eprintln!("{err}\nusage: [--smoke] [--update-baseline] [--baseline <path>]");
+                std::process::exit(2);
+            }
+        }
+    }
+
+    /// Parses `args` (without the program name).
+    fn parse(
+        args: &[String],
+        baseline_path: PathBuf,
+        schema: &'static str,
+    ) -> Result<Self, String> {
+        let mut opts = Self {
+            smoke: false,
+            update_baseline: false,
+            baseline_path,
+            schema,
+        };
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "--smoke" => opts.smoke = true,
+                "--update-baseline" => opts.update_baseline = true,
+                "--baseline" => {
+                    let path = args.next().ok_or("`--baseline` needs a path")?;
+                    opts.baseline_path = PathBuf::from(path);
+                }
+                other => return Err(format!("unknown argument `{other}`")),
+            }
+        }
+        Ok(opts)
+    }
+
+    /// `"smoke"` or `"full"`, the mode tag of the baseline document.
+    pub fn mode(&self) -> &'static str {
+        if self.smoke {
+            "smoke"
+        } else {
+            "full"
+        }
+    }
+
+    /// The harness tail: with `--update-baseline`, writes `current` as
+    /// the new baseline; otherwise gates `current` against the
+    /// committed file at [`REGRESSION_FACTOR`]. A missing baseline
+    /// file passes with a note.
+    pub fn write_or_gate(&self, current: &[Entry]) -> ExitCode {
+        let path = self.baseline_path.display();
+        if self.update_baseline {
+            let doc = render(self.schema, self.mode(), current);
+            return match std::fs::write(&self.baseline_path, doc) {
+                Ok(()) => {
+                    println!("\nbaseline written to {path}");
+                    ExitCode::SUCCESS
+                }
+                Err(e) => {
+                    eprintln!("\nfailed to write baseline {path}: {e}");
+                    ExitCode::FAILURE
+                }
+            };
+        }
+        let Ok(doc) = std::fs::read_to_string(&self.baseline_path) else {
+            println!(
+                "\nno committed baseline at {path} — run with --update-baseline to create one"
+            );
+            return ExitCode::SUCCESS;
+        };
+        let bad = regressions(current, &parse(&doc), REGRESSION_FACTOR);
+        if bad.is_empty() {
+            println!("\nno regression > {REGRESSION_FACTOR}x against {path}");
+            ExitCode::SUCCESS
+        } else {
+            eprintln!("\nregressions against {path}:");
+            for line in &bad {
+                eprintln!("  {line}");
+            }
+            ExitCode::FAILURE
+        }
+    }
 }
 
 #[cfg(test)]
@@ -135,16 +251,10 @@ mod tests {
 
     #[test]
     fn render_parse_round_trip() {
-        let doc = render("full", &sample());
+        let doc = render("mccls-bench/throughput/v1", "full", &sample());
         assert_eq!(parse(&doc), sample());
         assert!(doc.contains("\"mode\": \"full\""));
-    }
-
-    #[test]
-    fn render_with_schema_tags_the_document() {
-        let doc = render_with_schema("mccls-bench/throughput/v1", "smoke", &sample());
         assert!(doc.contains("\"schema\": \"mccls-bench/throughput/v1\""));
-        assert_eq!(parse(&doc), sample());
     }
 
     #[test]
@@ -169,8 +279,54 @@ mod tests {
         let r = regressions(&cur, &base, 10.0);
         assert_eq!(r.len(), 1);
         assert!(r[0].contains("pairing/after_prepared"));
-        // Unknown benchmarks never fail the check.
-        cur[1].id = "brand/new".into();
+        // A row only the current run has never fails the check.
+        cur.push(Entry {
+            id: "brand/new".into(),
+            median_ns: 1.0,
+        });
+        cur[1].median_ns = base[1].median_ns;
         assert!(regressions(&cur, &base, 10.0).is_empty());
+    }
+
+    #[test]
+    fn committed_rows_missing_from_the_run_are_findings() {
+        let base = sample();
+        let mut cur = sample();
+        cur[1].id = "pairing/renamed".into();
+        let r = regressions(&cur, &base, 10.0);
+        assert_eq!(r.len(), 1, "{r:?}");
+        assert!(r[0].starts_with("pairing/after_prepared: "), "{r:?}");
+        assert!(r[0].contains("missing from this run"), "{r:?}");
+        assert_eq!(regressions(&[], &base, 10.0).len(), 2);
+    }
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| (*s).to_owned()).collect()
+    }
+
+    #[test]
+    fn opts_parse_known_flags_and_reject_the_rest() {
+        let default = PathBuf::from("BENCH_x.json");
+        let schema = "mccls-bench/x/v1";
+        let opts = Opts::parse(&[], default.clone(), schema).unwrap();
+        assert!(!opts.smoke && !opts.update_baseline);
+        assert_eq!(opts.baseline_path, default);
+        assert_eq!(opts.mode(), "full");
+
+        let opts = Opts::parse(
+            &args(&["--smoke", "--baseline", "/tmp/b.json", "--update-baseline"]),
+            default.clone(),
+            schema,
+        )
+        .unwrap();
+        assert!(opts.smoke && opts.update_baseline);
+        assert_eq!(opts.baseline_path, PathBuf::from("/tmp/b.json"));
+        assert_eq!(opts.mode(), "smoke");
+        assert_eq!(opts.schema, schema);
+
+        let typo = Opts::parse(&args(&["--smok"]), default.clone(), schema).unwrap_err();
+        assert!(typo.contains("--smok"), "{typo}");
+        let bare = Opts::parse(&args(&["--smoke", "--baseline"]), default, schema).unwrap_err();
+        assert!(bare.contains("--baseline"), "{bare}");
     }
 }

@@ -21,11 +21,10 @@
 // A panic in a benchmark binary is a loud, correct failure.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use mccls_bench::baseline::{self, Entry};
+use mccls_bench::baseline::{Entry, Opts};
 use mccls_core::{
     batch_verify, ops, BatchItem, CertificatelessScheme, McCls, Signature, SystemParams,
     UserKeyPair,
@@ -33,56 +32,15 @@ use mccls_core::{
 use mccls_rng::rngs::StdRng;
 use mccls_rng::SeedableRng;
 
-/// Median regression budget against the committed baseline.
-const REGRESSION_FACTOR: f64 = 10.0;
-
 /// The isolation overhead budget: 1%-bad throughput must stay within
 /// this factor of the clean rate.
 const BAD1PCT_FACTOR: f64 = 2.0;
-
-/// Schema tag of `BENCH_batch.json`.
-const SCHEMA: &str = "mccls-bench/batch/v1";
 
 /// Batch size; the bad rates below are percentages of this.
 const BATCH_N: usize = 100;
 
 /// Bad-entry counts per family: 0%, 1%, 10% of [`BATCH_N`].
 const BAD_RATES: [(usize, &str); 3] = [(0, "clean"), (1, "bad1pct"), (10, "bad10pct")];
-
-struct Opts {
-    smoke: bool,
-    update_baseline: bool,
-    baseline_path: PathBuf,
-}
-
-impl Opts {
-    fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let mut opts = Self {
-            smoke: false,
-            update_baseline: false,
-            baseline_path: PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join("BENCH_batch.json"),
-        };
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--smoke" => opts.smoke = true,
-                "--update-baseline" => opts.update_baseline = true,
-                "--baseline" => {
-                    if let Some(p) = args.get(i + 1) {
-                        opts.baseline_path = PathBuf::from(p);
-                        i += 1;
-                    }
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-        opts
-    }
-}
 
 struct World {
     params: SystemParams,
@@ -198,8 +156,8 @@ fn median_ns(samples: usize, mut f: impl FnMut()) -> f64 {
 }
 
 fn main() -> ExitCode {
-    let opts = Opts::from_args();
-    let mode = if opts.smoke { "smoke" } else { "full" };
+    let opts = Opts::from_args("BENCH_batch.json", "mccls-bench/batch/v1");
+    let mode = opts.mode();
     println!("batch isolation harness ({mode} mode)\n");
 
     let world = build_world();
@@ -242,47 +200,5 @@ fn main() -> ExitCode {
         bad1_ns / clean_ns
     );
 
-    if opts.update_baseline {
-        let doc = baseline::render_with_schema(SCHEMA, mode, &current);
-        return match std::fs::write(&opts.baseline_path, doc) {
-            Ok(()) => {
-                println!("\nbaseline written to {}", opts.baseline_path.display());
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!(
-                    "\nfailed to write baseline {}: {e}",
-                    opts.baseline_path.display()
-                );
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    match std::fs::read_to_string(&opts.baseline_path) {
-        Ok(doc) => {
-            let committed = baseline::parse(&doc);
-            let bad = baseline::regressions(&current, &committed, REGRESSION_FACTOR);
-            if bad.is_empty() {
-                println!(
-                    "no regression > {REGRESSION_FACTOR}x against {}",
-                    opts.baseline_path.display()
-                );
-                ExitCode::SUCCESS
-            } else {
-                eprintln!("regressions against {}:", opts.baseline_path.display());
-                for line in &bad {
-                    eprintln!("  {line}");
-                }
-                ExitCode::FAILURE
-            }
-        }
-        Err(_) => {
-            println!(
-                "no committed baseline at {} — run with --update-baseline to create one",
-                opts.baseline_path.display()
-            );
-            ExitCode::SUCCESS
-        }
-    }
+    opts.write_or_gate(&current)
 }

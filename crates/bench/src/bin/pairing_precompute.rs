@@ -2,7 +2,7 @@
 //! buys on the verify hot path and guards the paper's "one pairing"
 //! claim with op-counter assertions.
 //!
-//! Three benchmark families, each with a before/after pair:
+//! Benchmark families, each with a before/after pair:
 //!
 //! * **pairing** — a full `pairing()` call (Miller-loop lines recomputed
 //!   every time) vs. a prepared evaluation over cached [`G2Prepared`]
@@ -13,14 +13,6 @@
 //!   P_pub)` per call) vs. the cached [`ShardedVerifier`] hot path, and `n`
 //!   individual verifications vs. one `batch_verify` (`n + 1` Miller
 //!   loops, one shared final exponentiation).
-//! * **backend** — the lazy `Fp2` multiply and the prepared pairing
-//!   with the portable scalar kernel pinned (`backend::force_scalar`)
-//!   vs. the packed kernel requested (`backend::force_accel`), so the
-//!   committed baseline records what the AVX2/NEON island actually
-//!   buys (or costs) on the machine that generated it. These rows are
-//!   why the packed path is opt-in: on this project's x86-64
-//!   reference hosts the packed rows are ~2x *slower* than scalar
-//!   mulx, and the default dispatch follows the measurement.
 //!
 //! Usage: `cargo run -p mccls-bench --release [-- --smoke]
 //! [--update-baseline] [--baseline <path>]`.
@@ -30,60 +22,21 @@
 //! regression against the committed `BENCH_pairing.json`. Pass
 //! `--update-baseline` to rewrite that file from the current run.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 
-use mccls_bench::baseline::{self, Entry};
+use mccls_bench::baseline::{Entry, Opts};
 use mccls_bench::harness::Criterion;
 use mccls_core::batch::{batch_verify, BatchItem};
 use mccls_core::{ops, CertificatelessScheme, McCls, ShardedVerifier};
 use mccls_pairing::{
-    backend, g1_generator_table, g2_generator_table, multi_miller_loop, pairing, Fp12, Fp2, Fp6,
-    Fr, G1Projective, G2Prepared, G2Projective,
+    g1_generator_table, g2_generator_table, multi_miller_loop, pairing, Fp12, Fp2, Fp6, Fr,
+    G1Projective, G2Prepared, G2Projective,
 };
 use mccls_rng::rngs::StdRng;
 use mccls_rng::SeedableRng;
 
-/// Median regression budget against the committed baseline.
-const REGRESSION_FACTOR: f64 = 10.0;
-
 /// Batch size for the batch-verify comparison.
 const BATCH_N: usize = 8;
-
-struct Opts {
-    smoke: bool,
-    update_baseline: bool,
-    baseline_path: PathBuf,
-}
-
-impl Opts {
-    fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let mut opts = Self {
-            smoke: false,
-            update_baseline: false,
-            baseline_path: PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join("BENCH_pairing.json"),
-        };
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--smoke" => opts.smoke = true,
-                "--update-baseline" => opts.update_baseline = true,
-                "--baseline" => {
-                    if let Some(p) = args.get(i + 1) {
-                        opts.baseline_path = PathBuf::from(p);
-                        i += 1;
-                    }
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-        opts
-    }
-}
 
 /// One signer's worth of McCLS material for the verify benchmarks.
 struct World {
@@ -221,39 +174,6 @@ fn run_benches(c: &mut Criterion, smoke: bool, world: &mut World) {
     g.bench_function("after_lazy", |b| b.iter(|| x12 * y12));
     g.finish();
 
-    // Packed-backend rows: the same lazy Fp2 Karatsuba and the full
-    // prepared pairing, first pinned to the portable scalar kernel and
-    // then with the packed kernel requested (AVX2/NEON where the host
-    // has it, scalar fallback otherwise — the printed name says which
-    // this run actually measured). The pins are per-thread and the
-    // harness is single-threaded, so they bracket only these rows.
-    backend::force_accel(true);
-    println!("packed kernel for *_backend rows: {}", backend::active());
-    backend::force_accel(false);
-    let mut g = c.benchmark_group("fp2_mul_backend");
-    g.sample_size(samples);
-    backend::force_scalar(true);
-    g.bench_function("scalar_mulx", |b| b.iter(|| x2 * y2));
-    backend::force_scalar(false);
-    backend::force_accel(true);
-    g.bench_function("packed_kernel", |b| b.iter(|| x2 * y2));
-    backend::force_accel(false);
-    g.finish();
-
-    let mut g = c.benchmark_group("pairing_backend");
-    g.sample_size(samples);
-    backend::force_scalar(true);
-    g.bench_function("scalar_mulx", |b| {
-        b.iter(|| multi_miller_loop(&[(&p, &q_prep)]).final_exponentiation())
-    });
-    backend::force_scalar(false);
-    backend::force_accel(true);
-    g.bench_function("packed_kernel", |b| {
-        b.iter(|| multi_miller_loop(&[(&p, &q_prep)]).final_exponentiation())
-    });
-    backend::force_accel(false);
-    g.finish();
-
     let k = Fr::random_nonzero(&mut rng);
     let mut g = c.benchmark_group("fixed_base_g1");
     g.sample_size(samples);
@@ -309,8 +229,8 @@ fn run_benches(c: &mut Criterion, smoke: bool, world: &mut World) {
 }
 
 fn main() -> ExitCode {
-    let opts = Opts::from_args();
-    let mode = if opts.smoke { "smoke" } else { "full" };
+    let opts = Opts::from_args("BENCH_pairing.json", "mccls-bench/pairing_precompute/v1");
+    let mode = opts.mode();
     println!("pairing_precompute harness ({mode} mode)\n");
 
     let mut world = build_world();
@@ -330,47 +250,5 @@ fn main() -> ExitCode {
         })
         .collect();
 
-    if opts.update_baseline {
-        let doc = baseline::render(mode, &current);
-        match std::fs::write(&opts.baseline_path, doc) {
-            Ok(()) => {
-                println!("\nbaseline written to {}", opts.baseline_path.display());
-                return ExitCode::SUCCESS;
-            }
-            Err(e) => {
-                eprintln!(
-                    "\nfailed to write baseline {}: {e}",
-                    opts.baseline_path.display()
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    match std::fs::read_to_string(&opts.baseline_path) {
-        Ok(doc) => {
-            let committed = baseline::parse(&doc);
-            let bad = baseline::regressions(&current, &committed, REGRESSION_FACTOR);
-            if bad.is_empty() {
-                println!(
-                    "\nno regression > {REGRESSION_FACTOR}x against {}",
-                    opts.baseline_path.display()
-                );
-                ExitCode::SUCCESS
-            } else {
-                eprintln!("\nregressions against {}:", opts.baseline_path.display());
-                for line in &bad {
-                    eprintln!("  {line}");
-                }
-                ExitCode::FAILURE
-            }
-        }
-        Err(_) => {
-            println!(
-                "\nno committed baseline at {} — run with --update-baseline to create one",
-                opts.baseline_path.display()
-            );
-            ExitCode::SUCCESS
-        }
-    }
+    opts.write_or_gate(&current)
 }

@@ -28,21 +28,14 @@
 // A panic in a benchmark binary is a loud, correct failure.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
 use mccls_aodv::config::ScenarioConfig;
 use mccls_aodv::metrics::Metrics;
 use mccls_aodv::network::Network;
-use mccls_bench::baseline::{self, Entry};
+use mccls_bench::baseline::{Entry, Opts};
 use mccls_sim::SimDuration;
-
-/// Median regression budget against the committed baseline.
-const REGRESSION_FACTOR: f64 = 10.0;
-
-/// Schema tag of `BENCH_sim.json`.
-const SCHEMA: &str = "mccls-bench/sim/v1";
 
 /// The 5,000-node grid run must beat the linear-scan ablation by at
 /// least this factor in full mode, or the harness fails outright.
@@ -52,41 +45,6 @@ const GRID_SPEEDUP: f64 = 10.0;
 /// to show the ablation hurting by a wide multiple, but it front-loads
 /// discovery floods and amortizes less setup, so CI machines get slack.
 const GRID_SPEEDUP_SMOKE: f64 = 4.0;
-
-struct Opts {
-    smoke: bool,
-    update_baseline: bool,
-    baseline_path: PathBuf,
-}
-
-impl Opts {
-    fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let mut opts = Self {
-            smoke: false,
-            update_baseline: false,
-            baseline_path: PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join("BENCH_sim.json"),
-        };
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--smoke" => opts.smoke = true,
-                "--update-baseline" => opts.update_baseline = true,
-                "--baseline" => {
-                    if let Some(p) = args.get(i + 1) {
-                        opts.baseline_path = PathBuf::from(p);
-                        i += 1;
-                    }
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-        opts
-    }
-}
 
 /// Builds the benchmark scenario: `n` nodes at the paper's density,
 /// 10 m/s, a fixed seed, truncated to `sim_secs` simulated seconds.
@@ -118,8 +76,8 @@ fn measure(cfg: &ScenarioConfig, samples: usize) -> (f64, Metrics) {
 }
 
 fn main() -> ExitCode {
-    let opts = Opts::from_args();
-    let mode = if opts.smoke { "smoke" } else { "full" };
+    let opts = Opts::from_args("BENCH_sim.json", "mccls-bench/sim/v1");
+    let mode = opts.mode();
     println!("simulation harness ({mode} mode)\n");
 
     // Smoke keeps CI fast; full is what the committed baseline records.
@@ -168,47 +126,5 @@ fn main() -> ExitCode {
          ({speedup:.1}x measured)"
     );
 
-    if opts.update_baseline {
-        let doc = baseline::render_with_schema(SCHEMA, mode, &current);
-        return match std::fs::write(&opts.baseline_path, doc) {
-            Ok(()) => {
-                println!("\nbaseline written to {}", opts.baseline_path.display());
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!(
-                    "\nfailed to write baseline {}: {e}",
-                    opts.baseline_path.display()
-                );
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    match std::fs::read_to_string(&opts.baseline_path) {
-        Ok(doc) => {
-            let committed = baseline::parse(&doc);
-            let bad = baseline::regressions(&current, &committed, REGRESSION_FACTOR);
-            if bad.is_empty() {
-                println!(
-                    "\nno regression > {REGRESSION_FACTOR}x against {}",
-                    opts.baseline_path.display()
-                );
-                ExitCode::SUCCESS
-            } else {
-                eprintln!("\nregressions against {}:", opts.baseline_path.display());
-                for line in &bad {
-                    eprintln!("  {line}");
-                }
-                ExitCode::FAILURE
-            }
-        }
-        Err(_) => {
-            println!(
-                "\nno committed baseline at {} — run with --update-baseline to create one",
-                opts.baseline_path.display()
-            );
-            ExitCode::SUCCESS
-        }
-    }
+    opts.write_or_gate(&current)
 }

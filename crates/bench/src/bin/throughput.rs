@@ -25,58 +25,16 @@
 // A panic in a benchmark binary is a loud, correct failure.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use mccls_bench::baseline::{self, Entry};
+use mccls_bench::baseline::{Entry, Opts};
 use mccls_core::{ops, CertificatelessScheme, McCls, ShardedVerifier, Signature, UserPublicKey};
 use mccls_rng::rngs::StdRng;
 use mccls_rng::SeedableRng;
 
-/// Median regression budget against the committed baseline.
-const REGRESSION_FACTOR: f64 = 10.0;
-
-/// Schema tag of `BENCH_throughput.json`.
-const SCHEMA: &str = "mccls-bench/throughput/v1";
-
 /// Worker counts exercised per family.
 const THREADS: [usize; 3] = [1, 2, 4];
-
-struct Opts {
-    smoke: bool,
-    update_baseline: bool,
-    baseline_path: PathBuf,
-}
-
-impl Opts {
-    fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let mut opts = Self {
-            smoke: false,
-            update_baseline: false,
-            baseline_path: PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join("BENCH_throughput.json"),
-        };
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--smoke" => opts.smoke = true,
-                "--update-baseline" => opts.update_baseline = true,
-                "--baseline" => {
-                    if let Some(p) = args.get(i + 1) {
-                        opts.baseline_path = PathBuf::from(p);
-                        i += 1;
-                    }
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-        opts
-    }
-}
 
 struct Peer {
     id: Vec<u8>,
@@ -158,8 +116,8 @@ fn measure(samples: usize, threads: usize, total_ops: usize, op: &(dyn Fn(usize)
 }
 
 fn main() -> ExitCode {
-    let opts = Opts::from_args();
-    let mode = if opts.smoke { "smoke" } else { "full" };
+    let opts = Opts::from_args("BENCH_throughput.json", "mccls-bench/throughput/v1");
+    let mode = opts.mode();
     println!("throughput harness ({mode} mode)\n");
 
     let world = build_world(32);
@@ -203,47 +161,5 @@ fn main() -> ExitCode {
         });
     }
 
-    if opts.update_baseline {
-        let doc = baseline::render_with_schema(SCHEMA, mode, &current);
-        return match std::fs::write(&opts.baseline_path, doc) {
-            Ok(()) => {
-                println!("\nbaseline written to {}", opts.baseline_path.display());
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!(
-                    "\nfailed to write baseline {}: {e}",
-                    opts.baseline_path.display()
-                );
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    match std::fs::read_to_string(&opts.baseline_path) {
-        Ok(doc) => {
-            let committed = baseline::parse(&doc);
-            let bad = baseline::regressions(&current, &committed, REGRESSION_FACTOR);
-            if bad.is_empty() {
-                println!(
-                    "\nno regression > {REGRESSION_FACTOR}x against {}",
-                    opts.baseline_path.display()
-                );
-                ExitCode::SUCCESS
-            } else {
-                eprintln!("\nregressions against {}:", opts.baseline_path.display());
-                for line in &bad {
-                    eprintln!("  {line}");
-                }
-                ExitCode::FAILURE
-            }
-        }
-        Err(_) => {
-            println!(
-                "\nno committed baseline at {} — run with --update-baseline to create one",
-                opts.baseline_path.display()
-            );
-            ExitCode::SUCCESS
-        }
-    }
+    opts.write_or_gate(&current)
 }

@@ -166,7 +166,9 @@ impl Fp2 {
     pub fn mul_unreduced2(&self, other: &Self) -> Fp2Wide {
         let sa = self.c0.add_unreduced(&self.c1);
         let sb = other.c0.add_unreduced(&other.c1);
-        let [v0, v1, s] = Fp::mul_unreduced_x3(&[self.c0, self.c1, sa], &[other.c0, other.c1, sb]);
+        let v0 = self.c0.mul_unreduced(&other.c0);
+        let v1 = self.c1.mul_unreduced(&other.c1);
+        let s = sa.mul_unreduced(&sb);
         Fp2Wide {
             c0: v0.wide_sub_offset(&v1, 4),
             c1: s.wide_sub(&v0).wide_sub(&v1),

@@ -34,11 +34,7 @@
 //! assert_eq!(lhs, rhs);
 //! ```
 
-// `deny` rather than `forbid` for exactly one reason: the `simd`
-// module re-allows unsafe for its arch intrinsics. The xtask `backend`
-// lint certifies that island (containment, whitelisted intrinsics,
-// scalar twins); everywhere else unsafe is still a hard error.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod arith;
@@ -54,10 +50,9 @@ mod g1;
 mod g2;
 mod pairing_impl;
 mod prepared;
-mod simd;
 
 pub use curve::{AffinePoint, Curve, ProjectivePoint};
-pub use field::{BackendParams, Field, FieldBackend};
+pub use field::Field;
 pub use fp::{Fp, FpWide};
 pub use fp12::Fp12;
 pub use fp2::{Fp2, Fp2Wide};
@@ -70,4 +65,15 @@ pub use prepared::{
     g1_generator_table, g2_generator_table, g2_prepared_generator, multi_miller_loop,
     FixedBaseTable, G1Table, G2Prepared, G2Table, MillerLoopResult,
 };
-pub use simd::backend;
+
+/// Name of the field-arithmetic kernel, for provenance lines.
+///
+/// Kept only because the benchmark package (`perfbench/`) still prints
+/// it. There is one kernel, the scalar 6×u64 Montgomery code, so the
+/// answer is a constant, not a runtime choice.
+pub mod backend {
+    /// Always `"scalar"`.
+    pub fn active() -> &'static str {
+        "scalar"
+    }
+}

@@ -125,8 +125,7 @@ fn run_check(root: &std::path::Path, format: Format, update_baseline: bool) -> E
                  `// lint:allow(panic) <reason>` / `// ct-ok: <reason>` / \
                  `// validated: <reason>` / `// overflow-ok: <reason>` / \
                  `// range-ok: <reason>` / `// secret-ok: <reason>` / \
-                 `// lock-ok: <reason>` / `// unsafe-ok: <reason>` / \
-                 `// backend-ok: <reason>` / `// complexity-ok: <reason>`."
+                 `// lock-ok: <reason>` / `// complexity-ok: <reason>`."
             );
         }
     }
@@ -152,9 +151,6 @@ fn print_usage() {
          opcount   Table 1 operation budgets certified statically (opcount-budgets.toml)\n    \
          complexity  hot-path big-O classes certified statically (complexity-budgets.toml)\n    \
          concurrency  lock-order acyclicity, no pairing work under guards, Send/Sync audit\n    \
-         backend   unsafe confined to the SIMD island with reasoned markers, intrinsics on\n              \
-         the committed whitelist, scalar twins for every arch-gated kernel,\n              \
-         lane-ct discipline, and per-lane `// range:` contracts on entry points\n    \
          secret    no Debug/Clone/serialization derives on key material; zeroize on Drop\n    \
          hygiene   #![forbid(unsafe_code)] + [lints] workspace = true everywhere\n    \
          deps      every dependency is an in-repo path (offline-safe builds)\n\n\
