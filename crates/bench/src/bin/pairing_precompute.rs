@@ -2,11 +2,15 @@
 //! buys on the verify hot path and guards the paper's "one pairing"
 //! claim with op-counter assertions.
 //!
-//! Benchmark families, each with a before/after pair:
+//! Benchmark families, each with a before/after pair unless noted:
 //!
-//! * **pairing** — a full `pairing()` call (Miller-loop lines recomputed
-//!   every time) vs. a prepared evaluation over cached [`G2Prepared`]
-//!   line coefficients.
+//! * **pairing** — a full `pairing()` call (the G2 argument prepared
+//!   afresh every time) vs. a prepared evaluation over cached
+//!   [`G2Prepared`] line coefficients.
+//! * **tower** — one row each (`fp2_mul`, `fp6_mul`, `fp12_mul`
+//!   `/after_lazy`) for the shipped `Fp2`, `Fp6` and `Fp12` products;
+//!   no in-tree twin is left to pair them with (DESIGN.md §11 records
+//!   the A/B that chose them).
 //! * **fixed-base** — generic double-and-add generator multiplication
 //!   vs. the precomputed signed radix-16 tables in G1 and G2.
 //! * **verify** — stateless `McCls::verify` (re-derives `e(Q_ID,
@@ -146,15 +150,13 @@ fn run_benches(c: &mut Criterion, smoke: bool, world: &mut World) {
     });
     g.finish();
 
-    // Tower-multiplication micro-rows: eager (per-product Montgomery
-    // reduction) vs. the lazy-reduction chains certified by the `range`
-    // lint. Both paths are kept in-tree, so the before/after pair stays
-    // an honest like-for-like comparison.
+    // Tower-multiplication micro-rows for the shipped products. The
+    // ids keep their `after_lazy` names so the committed medians stay
+    // comparable, although `Fp2::mul` reduces each product eagerly.
     let x2 = Fp2::random(&mut rng);
     let y2 = Fp2::random(&mut rng);
     let mut g = c.benchmark_group("fp2_mul");
     g.sample_size(samples);
-    g.bench_function("before_eager", |b| b.iter(|| x2.mul_eager(&y2)));
     g.bench_function("after_lazy", |b| b.iter(|| x2 * y2));
     g.finish();
 
@@ -162,7 +164,6 @@ fn run_benches(c: &mut Criterion, smoke: bool, world: &mut World) {
     let y6 = Fp6::random(&mut rng);
     let mut g = c.benchmark_group("fp6_mul");
     g.sample_size(samples);
-    g.bench_function("before_eager", |b| b.iter(|| x6.mul_eager6(&y6)));
     g.bench_function("after_lazy", |b| b.iter(|| x6 * y6));
     g.finish();
 
@@ -170,7 +171,6 @@ fn run_benches(c: &mut Criterion, smoke: bool, world: &mut World) {
     let y12 = Fp12::random(&mut rng);
     let mut g = c.benchmark_group("fp12_mul");
     g.sample_size(samples);
-    g.bench_function("before_eager", |b| b.iter(|| x12.mul_eager12(&y12)));
     g.bench_function("after_lazy", |b| b.iter(|| x12 * y12));
     g.finish();
 

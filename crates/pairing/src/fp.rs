@@ -34,9 +34,9 @@ montgomery_field!(
 /// `(p + 1) / 4`, the square-root exponent (valid because `p ≡ 3 mod 4`).
 const SQRT_EXP: [u64; 6] = add_one_shift_right2(&Fp::MODULUS);
 
-/// `2p`, the offset that keeps [`Fp::sub_unreduced`] non-negative for
-/// subtrahends below `2p` (it fits six limbs because the modulus leaves
-/// three headroom bits).
+/// `2p`, the second step of the fixed canonical descent in
+/// [`canonicalize_below_8p`] (it fits six limbs because the modulus
+/// leaves three headroom bits).
 const TWO_P: [u64; 6] = add_limbs(&Fp::MODULUS, &Fp::MODULUS);
 
 /// `4p`, the first step of the fixed canonical descent in
@@ -125,12 +125,12 @@ impl Fp {
     }
 }
 
-// Deferred-reduction entry points. These four methods and the `FpWide`
+// Deferred-reduction entry points. These two methods and the `FpWide`
 // accumulator below deliberately break the "always reduced" invariant
 // inside a lazy chain; the xtask `range` lint certifies every chain
 // (magnitude classes stay under `2^HEADROOM_BITS` narrow and
 // `2^(2·HEADROOM_BITS)` wide) and requires each chain to end in
-// `reduce`/`montgomery_reduce` before a value escapes.
+// `montgomery_reduce` before a value escapes.
 impl Fp {
     /// Unreduced limb addition: no conditional subtraction, so the
     /// result's magnitude class is the sum of the operands' classes.
@@ -151,31 +151,6 @@ impl Fp {
         Self(out)
     }
 
-    /// Unreduced subtraction via the `+2p` headroom trick:
-    /// `self + 2p - other`, non-negative whenever `other < 2p`.
-    ///
-    /// The range lint requires the subtrahend's class to be at most 2
-    /// and assigns the result `self`'s class plus two.
-    #[inline]
-    pub fn sub_unreduced(&self, other: &Self) -> Self {
-        let mut out = [0u64; 6];
-        let mut carry = 0u64;
-        for i in 0..6 {
-            let (v, c) = crate::arith::adc(self.0[i], TWO_P[i], carry);
-            out[i] = v;
-            carry = c;
-        }
-        debug_assert!(carry == 0, "sub_unreduced offset exceeded limb headroom");
-        let mut borrow = 0u64;
-        for (o, b) in out.iter_mut().zip(&other.0) {
-            let (v, bb) = crate::arith::sbb(*o, *b, borrow);
-            *o = v;
-            borrow = bb;
-        }
-        debug_assert!(borrow == 0, "sub_unreduced subtrahend above 2p");
-        Self(out)
-    }
-
     /// Full 768-bit product of the Montgomery representatives, with the
     /// Montgomery pass deferred to [`FpWide::montgomery_reduce`].
     ///
@@ -185,25 +160,16 @@ impl Fp {
     pub fn mul_unreduced(&self, other: &Self) -> FpWide {
         FpWide(mul_wide(&self.0, &other.0))
     }
-
-    /// Canonicalizes a narrow unreduced value (class `<Np`) back below
-    /// `p`, re-establishing the representation invariant.
-    ///
-    /// Sound up to the narrow cap (`8·p`), which the range lint
-    /// enforces at every call site.
-    #[inline]
-    pub fn reduce(&self) -> Self {
-        Self(canonicalize_below_8p(self.0))
-    }
 }
 
 /// Folds a value below `8·p` into the canonical range `[0, p)` with a
 /// fixed descent through `4p`, `2p`, `p`.
 ///
-/// Three conditional subtractions cover the narrow cap and the
-/// `montgomery_reduce` output bound alike; the branch pattern depends
-/// only on the lint-certified public magnitude class, never on the
-/// residue (ct-ok by the same public-headroom argument as `from_raw`).
+/// Three conditional subtractions cover the `montgomery_reduce`
+/// output bound (below `7.5·p` at the wide cap); the branch pattern
+/// depends only on the lint-certified public magnitude class, never on
+/// the residue (ct-ok by the same public-headroom argument as
+/// `from_raw`).
 #[inline]
 fn canonicalize_below_8p(mut v: [u64; 6]) -> [u64; 6] {
     for step in [&FOUR_P, &TWO_P, &Fp::MODULUS] {
@@ -503,9 +469,6 @@ mod tests {
                 .wide_sub_offset(&a.mul_unreduced(&c), 1)
                 .montgomery_reduce();
             assert_eq!(diff, a.mul(&b).sub(&a.mul(&c)));
-            // Narrow chain: (a + b) - c with one final reduce.
-            let narrow = a.add_unreduced(&b).sub_unreduced(&c).reduce();
-            assert_eq!(narrow, a.add(&b).sub(&c));
         });
     }
 

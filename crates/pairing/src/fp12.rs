@@ -188,8 +188,8 @@ impl Fp12 {
     pub fn mul_by_line(&self, a: &Fp2, b: &Fp2, c: &Fp2) -> Self {
         // other = A + B w, A = (a,0,0), B = (0,b,c). The B product
         // takes the sparse deferred-reduction path (mul_by_0bc), and
-        // the dense products inherit the lazy Fp2/Fp6 chains — this is
-        // the Miller loop's per-iteration workhorse.
+        // the dense product inherits the lazy Fp6 chain — this is the
+        // Miller loop's per-iteration workhorse.
         let v0 = self.c0.mul_by_fp2(a);
         let v1 = self.c1.mul_by_0bc(b, c);
         // (a+b)(A+B) - v0 - v1, with A+B = (a, b, c)
@@ -198,33 +198,6 @@ impl Fp12 {
         Self {
             c0: v0.add(&v1.mul_by_v()),
             c1: s.sub(&v0).sub(&v1),
-        }
-    }
-
-    /// Reduction-eager Karatsuba multiplication over `w² = v`, routed
-    /// through the eager `Fp6` reference: the lazy [`Fp12::mul`] must
-    /// agree with it bit-for-bit.
-    pub fn mul_eager12(&self, other: &Self) -> Self {
-        let v0 = self.c0.mul_eager6(&other.c0);
-        let v1 = self.c1.mul_eager6(&other.c1);
-        let s = self.c0.add(&self.c1).mul_eager6(&other.c0.add(&other.c1));
-        Self {
-            c0: v0.add(&v1.mul_by_v()),
-            c1: s.sub(&v0).sub(&v1),
-        }
-    }
-
-    /// Reduction-eager complex squaring: the reference implementation
-    /// [`Fp12::square`] must agree with bit-for-bit.
-    pub fn square_eager12(&self) -> Self {
-        let ab = self.c0.mul_eager6(&self.c1);
-        let t = self
-            .c0
-            .add(&self.c1)
-            .mul_eager6(&self.c0.add(&self.c1.mul_by_v()));
-        Self {
-            c0: t.sub(&ab).sub(&ab.mul_by_v()),
-            c1: ab.double(),
         }
     }
 

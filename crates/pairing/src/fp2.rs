@@ -87,33 +87,11 @@ impl Fp2 {
         }
     }
 
-    /// Karatsuba multiplication over `u² = -1`, with the Montgomery
-    /// reductions deferred to one pass per coefficient
-    /// (DESIGN.md §11). Bit-for-bit agreement with the eager reference
-    /// [`Fp2::mul_eager`] is pinned by `lazy_equivalence.rs`.
-    // range: <p
+    /// Karatsuba multiplication over `u² = -1`: three `Fp` products,
+    /// each reduced on the spot. A single product gains nothing from
+    /// deferring its reductions (DESIGN.md §11); the lazy form
+    /// [`Fp2::mul_unreduced2`] serves the `Fp6` chains.
     pub fn mul(&self, other: &Self) -> Self {
-        self.mul_unreduced2(other).montgomery_reduce2()
-    }
-
-    /// Complex squaring `(c0+c1)(c0-c1) + 2c0c1·u` with deferred
-    /// reductions; `c0 - c1` uses the `+2p` headroom offset.
-    // range: <p
-    pub fn square(&self) -> Self {
-        let a = self.c0.add_unreduced(&self.c1);
-        let b = self.c0.sub_unreduced(&self.c1);
-        let d = self.c0.add_unreduced(&self.c0);
-        let w0 = a.mul_unreduced(&b);
-        let w1 = d.mul_unreduced(&self.c1);
-        Self {
-            c0: w0.montgomery_reduce(),
-            c1: w1.montgomery_reduce(),
-        }
-    }
-
-    /// Reduction-eager Karatsuba multiplication: the reference
-    /// implementation [`Fp2::mul`] must agree with bit-for-bit.
-    pub fn mul_eager(&self, other: &Self) -> Self {
         let v0 = self.c0.mul(&other.c0);
         let v1 = self.c1.mul(&other.c1);
         let s = self.c0.add(&self.c1).mul(&other.c0.add(&other.c1));
@@ -123,9 +101,8 @@ impl Fp2 {
         }
     }
 
-    /// Reduction-eager complex squaring: the reference implementation
-    /// [`Fp2::square`] must agree with bit-for-bit.
-    pub fn square_eager(&self) -> Self {
+    /// Complex squaring `(c0+c1)(c0-c1) + 2c0c1·u`.
+    pub fn square(&self) -> Self {
         let a = self.c0.add(&self.c1);
         let b = self.c0.sub(&self.c1);
         let c = self.c0.double();
@@ -141,15 +118,6 @@ impl Fp2 {
         Self {
             c0: self.c0.add_unreduced(&other.c0),
             c1: self.c1.add_unreduced(&other.c1),
-        }
-    }
-
-    /// Componentwise unreduced subtraction via the `+2p` offset.
-    // range: <p -> <3p
-    pub fn sub_unreduced2(&self, other: &Self) -> Self {
-        Self {
-            c0: self.c0.sub_unreduced(&other.c0),
-            c1: self.c1.sub_unreduced(&other.c1),
         }
     }
 
@@ -437,15 +405,6 @@ mod tests {
     fn bytes_round_trip() {
         for_random_fp2(32, 0xC2, |a, _, _| {
             assert_eq!(Fp2::from_be_bytes(&a.to_be_bytes()), Some(a));
-        });
-    }
-
-    #[test]
-    fn lazy_matches_eager_bit_for_bit() {
-        for_random_fp2(64, 0xC3, |a, b, _| {
-            assert_eq!(a.mul(&b), a.mul_eager(&b));
-            assert_eq!(a.square(), a.square_eager());
-            assert_eq!(a.square(), a.mul(&a));
         });
     }
 

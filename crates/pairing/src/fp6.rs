@@ -132,56 +132,17 @@ impl Fp6 {
         Self { c0, c1, c2 }
     }
 
-    /// Squaring, routed through the lazy multiplication core (a fully
-    /// lazy CH-SQR3 would push the `c2` chain past the `64·p²` wide
-    /// cap, so the symmetric product is both certified and faster).
+    /// Chung–Hasan CH-SQR3 squaring: two `Fp2` squares, two `Fp2`
+    /// products and one square of `c0 - c1 + c2`, each reduced on the
+    /// spot. It takes 0.66–0.75 of the time of `self.mul(self)`
+    /// (DESIGN.md §11); a fully lazy CH-SQR3 would push the `c2` chain
+    /// past the `64·p²` wide cap.
     pub fn square(&self) -> Self {
-        self.mul(self)
-    }
-
-    /// Reduction-eager schoolbook multiplication: the reference
-    /// implementation [`Fp6::mul`] must agree with bit-for-bit.
-    pub fn mul_eager6(&self, other: &Self) -> Self {
-        let a = self;
-        let b = other;
-        let v0 = a.c0.mul_eager(&b.c0);
-        let v1 = a.c1.mul_eager(&b.c1);
-        let v2 = a.c2.mul_eager(&b.c2);
-        // c0 = v0 + ξ((a1+a2)(b1+b2) - v1 - v2)
-        let c0 =
-            a.c1.add(&a.c2)
-                .mul_eager(&b.c1.add(&b.c2))
-                .sub(&v1)
-                .sub(&v2)
-                .mul_by_nonresidue()
-                .add(&v0);
-        // c1 = (a0+a1)(b0+b1) - v0 - v1 + ξ v2
-        let c1 =
-            a.c0.add(&a.c1)
-                .mul_eager(&b.c0.add(&b.c1))
-                .sub(&v0)
-                .sub(&v1)
-                .add(&v2.mul_by_nonresidue());
-        // c2 = (a0+a2)(b0+b2) - v0 - v2 + v1
-        let c2 =
-            a.c0.add(&a.c2)
-                .mul_eager(&b.c0.add(&b.c2))
-                .sub(&v0)
-                .sub(&v2)
-                .add(&v1);
-        Self { c0, c1, c2 }
-    }
-
-    /// Reduction-eager CH-SQR3 squaring: the reference implementation
-    /// [`Fp6::square`] must agree with bit-for-bit.
-    pub fn square_eager6(&self) -> Self {
-        let s0 = self.c0.square_eager();
-        let ab = self.c0.mul_eager(&self.c1);
-        let s1 = ab.double();
-        let s2 = self.c0.sub(&self.c1).add(&self.c2).square_eager();
-        let bc = self.c1.mul_eager(&self.c2);
-        let s3 = bc.double();
-        let s4 = self.c2.square_eager();
+        let s0 = self.c0.square();
+        let s1 = self.c0.mul(&self.c1).double();
+        let s2 = self.c0.sub(&self.c1).add(&self.c2).square();
+        let s3 = self.c1.mul(&self.c2).double();
+        let s4 = self.c2.square();
         Self {
             c0: s3.mul_by_nonresidue().add(&s0),
             c1: s4.mul_by_nonresidue().add(&s1),
@@ -381,14 +342,6 @@ mod tests {
                 return;
             }
             assert_eq!(a.mul(&a.invert().unwrap()), Fp6::one());
-        });
-    }
-
-    #[test]
-    fn lazy_matches_eager_bit_for_bit() {
-        for_random_fp6(24, 0xD2, |a, b, _| {
-            assert_eq!(a.mul(&b), a.mul_eager6(&b));
-            assert_eq!(a.square(), a.square_eager6());
         });
     }
 

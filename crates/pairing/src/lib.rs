@@ -10,8 +10,8 @@
 //! Everything is implemented in this workspace: Montgomery-form prime
 //! fields whose constants are derived at compile time from the modulus,
 //! the `Fp2/Fp6/Fp12` tower, Jacobian group arithmetic for G1/G2, XMD
-//! hash-to-curve, and the optimal ate pairing (affine Miller loop with
-//! batched inversions plus final exponentiation).
+//! hash-to-curve, and the optimal ate pairing (one multi-Miller loop
+//! over affine-prepared G2 lines, plus final exponentiation).
 //!
 //! # Examples
 //!

@@ -3,9 +3,13 @@
 //!
 //! # Construction notes
 //!
-//! * **Miller loop** — affine iteration over the (negative) BLS parameter
-//!   `u = -0xd201000000010000`. Line functions are evaluated through the
-//!   untwist `ψ(x', y') = (x'·v²/ξ, y'·v·w/ξ)` of the M-type sextic twist;
+//! * **Miller loop** — the one Miller loop is
+//!   [`crate::multi_miller_loop`] over a [`crate::G2Prepared`] point:
+//!   [`pairing`] prepares its G2 argument and runs it, so a prepared
+//!   and an unprepared pairing share every line and every squaring.
+//!   Lines come from affine iteration over the (negative) BLS parameter
+//!   `u = -0xd201000000010000`, evaluated through the untwist
+//!   `ψ(x', y') = (x'·v²/ξ, y'·v·w/ξ)` of the M-type sextic twist;
 //!   after scaling by the subfield constant `ξ` (absorbed by the final
 //!   exponentiation) a line through `(x₁, y₁)` with slope `λ`, evaluated
 //!   at `P = (x_P, y_P)`, is the sparse element
@@ -19,15 +23,14 @@
 use std::sync::OnceLock;
 
 use crate::arith::BigUint;
-use crate::curve::AffinePoint;
 #[cfg(test)]
 use crate::field::Field;
 use crate::fp::Fp;
 use crate::fp12::Fp12;
-use crate::fp2::Fp2;
 use crate::fr::Fr;
 use crate::g1::G1Affine;
-use crate::g2::{G2Affine, G2Params};
+use crate::g2::G2Affine;
+use crate::prepared::{multi_miller_loop, G2Prepared};
 
 /// `|u|` for the BLS parameter `u = -0xd201000000010000`.
 pub(crate) const BLS_X: u64 = 0xd201_0000_0001_0000;
@@ -101,63 +104,6 @@ impl core::ops::Mul for Gt {
     fn mul(self, rhs: Gt) -> Gt {
         Gt::mul(&self, &rhs)
     }
-}
-
-/// Affine G2 working point used inside the Miller loop.
-#[derive(Copy, Clone)]
-struct G2Point {
-    x: Fp2,
-    y: Fp2,
-}
-
-/// Evaluates the (ξ-scaled) line through `(x1, y1)` with slope `lambda`
-/// at `P = (xp, yp)` and multiplies it into `f`.
-fn line_eval(f: &Fp12, x1: &Fp2, y1: &Fp2, lambda: &Fp2, xp: &Fp, yp: &Fp) -> Fp12 {
-    // a = ξ·y_P, b = λ·x₁ - y₁, c = -λ·x_P
-    let a = Fp2::new(*yp, *yp); // (1 + u) * yp
-    let b = lambda.mul(x1).sub(y1);
-    let c = lambda.mul_by_fp(&xp.neg());
-    f.mul_by_line(&a, &b, &c)
-}
-
-/// One Miller-loop factor `f_{|u|,Q}(P)` (conjugated for the negative
-/// parameter by the caller).
-fn miller_loop(p: &G1Affine, q: &G2Affine) -> Fp12 {
-    let mut f = Fp12::one();
-    let mut t = G2Point { x: q.x, y: q.y };
-    let q_pt = G2Point { x: q.x, y: q.y };
-    // Bits of |u| from below the MSB down to 0.
-    for i in (0..63).rev() {
-        f = f.square();
-        // Doubling step: λ = 3x² / 2y.
-        #[allow(clippy::expect_used)]
-        let lambda = t
-            .x
-            .square()
-            .mul(&Fp2::new(Fp::from_u64(3), Fp::zero()))
-            // lint:allow(panic) y = 0 only on 2-torsion; inputs have odd order r
-            .mul(&t.y.double().invert().expect("2y != 0 on odd-order points"));
-        f = line_eval(&f, &t.x, &t.y, &lambda, &p.x, &p.y);
-        let x3 = lambda.square().sub(&t.x.double());
-        let y3 = lambda.mul(&t.x.sub(&x3)).sub(&t.y);
-        t = G2Point { x: x3, y: y3 };
-        if (BLS_X >> i) & 1 == 1 {
-            // Addition step: λ = (y_Q - y_T) / (x_Q - x_T).
-            #[allow(clippy::expect_used)]
-            let lambda = q_pt
-                .y
-                .sub(&t.y)
-                // lint:allow(panic) T = ±Q mid-loop would need x = |u|
-                .mul(&q_pt.x.sub(&t.x).invert().expect("T != ±Q mid-loop"));
-            f = line_eval(&f, &t.x, &t.y, &lambda, &p.x, &p.y);
-            let x3 = lambda.square().sub(&t.x).sub(&q_pt.x);
-            let y3 = lambda.mul(&t.x.sub(&x3)).sub(&t.y);
-            t = G2Point { x: x3, y: y3 };
-        }
-    }
-    // u < 0: f_{u,Q} = conj(f_{|u|,Q}) after the easy part of the final
-    // exponentiation; conjugating here is equivalent and conventional.
-    f.conjugate()
 }
 
 /// Base-p digits of the hard exponent `(p⁴ - p² + 1)/r`, least
@@ -251,7 +197,7 @@ pub fn pairing(p: &G1Affine, q: &G2Affine) -> Gt {
     if p.is_identity() || q.is_identity() {
         return Gt::identity();
     }
-    final_exponentiation(&miller_loop(p, q))
+    multi_miller_loop(&[(p, &G2Prepared::from_affine(q))]).final_exponentiation()
 }
 
 /// Computes `∏ e(P_i, Q_i)` with one shared final exponentiation.
@@ -259,27 +205,19 @@ pub fn pairing(p: &G1Affine, q: &G2Affine) -> Gt {
 /// This is how verifiers check pairing equations like
 /// `e(A, B) = e(C, D)` efficiently: evaluate
 /// `pairing_product(&[(A, B), (-C, D)])` and compare with the identity.
+/// The factors share one [`multi_miller_loop`], so its `Fp12`
+/// squarings are paid once for the whole product.
 pub fn pairing_product(pairs: &[(G1Affine, G2Affine)]) -> Gt {
-    let mut f = Fp12::one();
-    let mut any = false;
-    for (p, q) in pairs {
-        if p.is_identity() || q.is_identity() {
-            continue;
-        }
-        f = f.mul(&miller_loop(p, q));
-        any = true;
-    }
-    if !any {
+    let prepared: Vec<(&G1Affine, G2Prepared)> = pairs
+        .iter()
+        .filter(|(p, q)| !p.is_identity() && !q.is_identity())
+        .map(|(p, q)| (p, G2Prepared::from_affine(q)))
+        .collect();
+    if prepared.is_empty() {
         return Gt::identity();
     }
-    final_exponentiation(&f)
-}
-
-impl AffinePoint<G2Params> {
-    /// Convenience pairing with the argument order flipped.
-    pub fn pair_with(&self, p: &G1Affine) -> Gt {
-        pairing(p, self)
-    }
+    let refs: Vec<(&G1Affine, &G2Prepared)> = prepared.iter().map(|(p, q)| (*p, q)).collect();
+    multi_miller_loop(&refs).final_exponentiation()
 }
 
 #[cfg(test)]

@@ -1,21 +1,76 @@
-//! Bit-for-bit equivalence of the lazy-reduction tower against the
+//! Bit-for-bit equivalence of the lazy-reduction tower against
 //! reduction-eager reference implementations.
 //!
-//! The lazy chains (`mul_unreduced` → `montgomery_reduce`, the Fp2/Fp6
-//! Karatsuba paths, the sparse line multiplication) are certified for
-//! headroom by the xtask `range` lint; *this* suite pins the other half
-//! of the contract: every lazy path must compute exactly what its eager
-//! twin computes, on structured edge representatives (zero, one, `p-1`,
-//! saturated and striped limb patterns) and on a deterministic seeded
-//! sweep. Equality is on the canonical Montgomery representation, which
-//! both paths end in — a representation drift (a value left above `p`)
-//! fails `Eq` just as an arithmetic bug does.
+//! The lazy chains (`mul_unreduced` → `montgomery_reduce`, the wide
+//! `Fp2` product, the `Fp6` Karatsuba paths, the sparse line
+//! multiplication) are certified for headroom by the xtask `range`
+//! lint; *this* suite pins the other half of the contract: every lazy
+//! path must compute exactly what an eager reference computes, on
+//! structured edge representatives (zero, one, `p-1`, saturated and
+//! striped limb patterns) and on a deterministic seeded sweep. Equality
+//! is on the canonical Montgomery representation, which both paths end
+//! in — a representation drift (a value left above `p`) fails `Eq` just
+//! as an arithmetic bug does.
+//!
+//! The eager `Fp6`/`Fp12` references live here, written over the public
+//! API: every `Fp2` product they take reduces on the spot, so they share
+//! no deferred reduction with the lazy code under test. The debug
+//! profile keeps the lazy primitives' `debug_assert!` carry and borrow
+//! checks on, so a headroom overflow also fails here as a panic.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use mccls_pairing::{Fp, Fp12, Fp2, Fp6};
 use mccls_rng::rngs::StdRng;
 use mccls_rng::SeedableRng;
+
+/// Reduction-eager schoolbook `Fp6` product: the reference the lazy
+/// [`Fp6::mul`] must agree with bit-for-bit.
+fn mul_eager6(a: &Fp6, b: &Fp6) -> Fp6 {
+    let v0 = a.c0.mul(&b.c0);
+    let v1 = a.c1.mul(&b.c1);
+    let v2 = a.c2.mul(&b.c2);
+    // c0 = v0 + ξ((a1+a2)(b1+b2) - v1 - v2)
+    let c0 =
+        a.c1.add(&a.c2)
+            .mul(&b.c1.add(&b.c2))
+            .sub(&v1)
+            .sub(&v2)
+            .mul_by_nonresidue()
+            .add(&v0);
+    // c1 = (a0+a1)(b0+b1) - v0 - v1 + ξ v2
+    let c1 =
+        a.c0.add(&a.c1)
+            .mul(&b.c0.add(&b.c1))
+            .sub(&v0)
+            .sub(&v1)
+            .add(&v2.mul_by_nonresidue());
+    // c2 = (a0+a2)(b0+b2) - v0 - v2 + v1
+    let c2 =
+        a.c0.add(&a.c2)
+            .mul(&b.c0.add(&b.c2))
+            .sub(&v0)
+            .sub(&v2)
+            .add(&v1);
+    Fp6::new(c0, c1, c2)
+}
+
+/// Reduction-eager Karatsuba `Fp12` product over `w² = v`, routed
+/// through [`mul_eager6`]: the reference for the lazy [`Fp12::mul`].
+fn mul_eager12(a: &Fp12, b: &Fp12) -> Fp12 {
+    let v0 = mul_eager6(&a.c0, &b.c0);
+    let v1 = mul_eager6(&a.c1, &b.c1);
+    let s = mul_eager6(&a.c0.add(&a.c1), &b.c0.add(&b.c1));
+    Fp12::new(v0.add(&v1.mul_by_v()), s.sub(&v0).sub(&v1))
+}
+
+/// Reduction-eager complex `Fp12` squaring: the reference for
+/// [`Fp12::square`].
+fn square_eager12(a: &Fp12) -> Fp12 {
+    let ab = mul_eager6(&a.c0, &a.c1);
+    let t = mul_eager6(&a.c0.add(&a.c1), &a.c0.add(&a.c1.mul_by_v()));
+    Fp12::new(t.sub(&ab).sub(&ab.mul_by_v()), ab.double())
+}
 
 /// Edge limb words: zero, one, all-ones, a lone top bit, bit stripes.
 const EDGE_WORDS: [u64; 5] = [0, 1, u64::MAX, 1 << 63, 0xaaaa_aaaa_aaaa_aaaa];
@@ -102,14 +157,9 @@ fn fp_lazy_primitives_match_eager_ops_on_edges_and_seeded_pairs() {
     }
     for (a, b) in pairs {
         assert_eq!(
-            a.add_unreduced(&b).reduce(),
-            a.add(&b),
-            "add_unreduced+reduce drifted from add on {a:?} + {b:?}"
-        );
-        assert_eq!(
-            a.sub_unreduced(&b).reduce(),
-            a.sub(&b),
-            "sub_unreduced+reduce drifted from sub on {a:?} - {b:?}"
+            a.add_unreduced(&b).mul_unreduced(&b).montgomery_reduce(),
+            a.add(&b).mul(&b),
+            "add_unreduced feeding a wide product drifted on ({a:?} + {b:?}) * {b:?}"
         );
         assert_eq!(
             a.mul_unreduced(&b).montgomery_reduce(),
@@ -126,7 +176,7 @@ fn fp_lazy_primitives_match_eager_ops_on_edges_and_seeded_pairs() {
 }
 
 #[test]
-fn fp2_lazy_mul_and_square_match_the_eager_twins() {
+fn fp2_wide_product_matches_mul_and_square_matches_self_mul() {
     let edges = edge_fp2s();
     let mut rng = StdRng::seed_from_u64(0x1a2b_0002);
     let mut values = edges.clone();
@@ -135,9 +185,12 @@ fn fp2_lazy_mul_and_square_match_the_eager_twins() {
     }
     for a in &values {
         for b in &values {
-            assert_eq!(a.mul(b), a.mul_eager(b), "Fp2 mul drifted on {a:?} * {b:?}");
+            assert_eq!(
+                a.mul_unreduced2(b).montgomery_reduce2(),
+                a.mul(b),
+                "wide Fp2 product drifted on {a:?} * {b:?}"
+            );
         }
-        assert_eq!(a.square(), a.square_eager(), "Fp2 square drifted on {a:?}");
         assert_eq!(
             a.square(),
             a.mul(a),
@@ -147,18 +200,24 @@ fn fp2_lazy_mul_and_square_match_the_eager_twins() {
 }
 
 #[test]
-fn fp6_lazy_mul_square_and_sparse_mul_match_the_eager_twins() {
+fn fp6_lazy_mul_square_and_sparse_mul_match_the_eager_reference() {
     let values = edge_fp6s();
     let sparse = edge_fp2s();
     for a in &values {
         for b in &values {
             assert_eq!(
                 a.mul(b),
-                a.mul_eager6(b),
+                mul_eager6(a, b),
                 "Fp6 mul drifted on {a:?} * {b:?}"
             );
         }
-        assert_eq!(a.square(), a.square_eager6(), "Fp6 square drifted on {a:?}");
+        // CH-SQR3 squaring against the lazy product and the reference.
+        assert_eq!(a.square(), a.mul(a), "Fp6 square drifted on {a:?}");
+        assert_eq!(
+            a.square(),
+            mul_eager6(a, a),
+            "Fp6 square drifted from the reference on {a:?}"
+        );
         // The sparse 0bc path against a full multiplication by the same
         // (0, b, c) element, through the *eager* reference.
         for pair in sparse.chunks(2) {
@@ -166,7 +225,7 @@ fn fp6_lazy_mul_square_and_sparse_mul_match_the_eager_twins() {
             let full = Fp6::new(Fp2::zero(), *b, *c);
             assert_eq!(
                 a.mul_by_0bc(b, c),
-                a.mul_eager6(&full),
+                mul_eager6(a, &full),
                 "sparse mul_by_0bc drifted on {a:?} with b={b:?}, c={c:?}"
             );
         }
@@ -174,20 +233,20 @@ fn fp6_lazy_mul_square_and_sparse_mul_match_the_eager_twins() {
 }
 
 #[test]
-fn fp12_lazy_mul_square_and_line_mul_match_the_eager_twins() {
+fn fp12_lazy_mul_square_and_line_mul_match_the_eager_reference() {
     let values = edge_fp12s();
     let lines = edge_fp2s();
     for a in &values {
         for b in &values {
             assert_eq!(
                 a.mul(b),
-                a.mul_eager12(b),
+                mul_eager12(a, b),
                 "Fp12 mul drifted on {a:?} * {b:?}"
             );
         }
         assert_eq!(
             a.square(),
-            a.square_eager12(),
+            square_eager12(a),
             "Fp12 square drifted on {a:?}"
         );
         // The Miller-loop line path against the dense eager product of
@@ -202,7 +261,7 @@ fn fp12_lazy_mul_square_and_line_mul_match_the_eager_twins() {
             );
             assert_eq!(
                 a.mul_by_line(la, lb, lc),
-                a.mul_eager12(&full),
+                mul_eager12(a, &full),
                 "mul_by_line drifted on {a:?} with line ({la:?}, {lb:?}, {lc:?})"
             );
         }
@@ -220,10 +279,7 @@ fn seeded_lazy_chains_agree_with_eager_composition() {
         let b = Fp12::random(&mut rng);
         let c = Fp12::random(&mut rng);
         let lazy = a.mul(&b).add(&c.square()).mul(&a.add(&b));
-        let eager = a
-            .mul_eager12(&b)
-            .add(&c.square_eager12())
-            .mul_eager12(&a.add(&b));
+        let eager = mul_eager12(&mul_eager12(&a, &b).add(&square_eager12(&c)), &a.add(&b));
         assert_eq!(lazy, eager, "mixed chain drifted");
     }
 }

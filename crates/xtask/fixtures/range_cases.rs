@@ -30,12 +30,12 @@ impl Fx {
         let b = a.add_unreduced(&a);
         let c = b.add_unreduced(&b);
         let d = c.add_unreduced(&c);
-        d.reduce()
+        d.mul_unreduced(other).montgomery_reduce()
     }
 
     /// Missing contract: touches a lazy primitive with no `// range:`.
     pub fn uncertified(&self, other: &Self) -> Self {
-        self.add_unreduced(other).reduce()
+        self.add_unreduced(other).mul_unreduced(other).montgomery_reduce()
     }
 
     /// Stale contract: the body computes `<2p`, not the declared `<3p`.
@@ -63,12 +63,12 @@ impl Fx {
     /// Justified suppression: a reviewed chain. Must not be flagged.
     pub fn audited(&self, other: &Self) -> Self {
         // range-ok: the chain peaks at class 2p, reviewed in DESIGN.md §11
-        self.add_unreduced(other).reduce()
+        self.add_unreduced(other).mul_unreduced(other).montgomery_reduce()
     }
 
     /// Bare suppression: gives no reason, so the site is still reported.
     pub fn waved(&self, other: &Self) -> Self {
         // range-ok:
-        self.add_unreduced(other).reduce()
+        self.add_unreduced(other).mul_unreduced(other).montgomery_reduce()
     }
 }

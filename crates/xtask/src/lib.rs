@@ -36,9 +36,10 @@
 //!   `// overflow-ok: <reason>`.
 //! * **range** — the magnitude-range certification lint ([`range`]):
 //!   every function touching the lazy-reduction primitives
-//!   (`add_unreduced`, `mul_unreduced`, `wide_sub_offset`, …) must
-//!   declare a `// range: <class>` contract, and the declared classes
-//!   are propagated through each body and checked against the limb
+//!   (`add_unreduced`, `mul_unreduced`, `wide_sub_offset`,
+//!   `montgomery_reduce`, …) must declare a `// range: <class>`
+//!   contract; today that is the wide `Fp2` product and the `Fp6`
+//!   chains built on it. The declared classes are propagated through each body and checked against the limb
 //!   headroom the `montgomery_field!` moduli actually leave. Overflowing
 //!   chains, undersized `k·p²` offsets, unreduced values escaping into
 //!   eager code, and stale or missing contracts all fail the gate.

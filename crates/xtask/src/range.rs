@@ -8,6 +8,13 @@
 //! leaves — one `add_unreduced` too many silently wraps the top limb,
 //! release builds don't panic, and small-number tests never notice.
 //!
+//! Only the chains that pay are lazy (DESIGN.md §11): the wide `Fp2`
+//! product `mul_unreduced2` and the `Fp6` products built from it
+//! (`Fp6::mul`, `Fp6::mul_by_0bc`). `Fp2::mul`, `Fp2::square` and
+//! `Fp6::square` reduce every product on the spot and need no
+//! contract. A narrow value returns to canonical only through a wide
+//! product and `montgomery_reduce`; there is no narrow-only reduction.
+//!
 //! This pass certifies those chains statically. Every field value gets
 //! a symbolic **magnitude class**: `<Np` (narrow, `N` units of `p` in
 //! one limb vector) or `<Npp` (wide, `N` units of `p²` in a
@@ -66,9 +73,7 @@ const CONTRACT_MARKER: &str = "// range:";
 /// call sites instead of analyzing them against themselves.
 pub const INTRINSIC_FNS: &[&str] = &[
     "add_unreduced",
-    "sub_unreduced",
     "mul_unreduced",
-    "reduce",
     "wide_add",
     "wide_sub",
     "wide_sub_offset",
@@ -84,7 +89,7 @@ pub const INTRINSIC_FNS: &[&str] = &[
 /// `mul_unreduced2` yields `max(Na·Nb + 4, 4·Na·Nb)` for its internal
 /// `4p²` offset and operand sums), while the declared contract is
 /// verified against the body like any other annotation.
-pub const SYMBOLIC_FNS: &[&str] = &["add_unreduced2", "sub_unreduced2", "mul_unreduced2"];
+pub const SYMBOLIC_FNS: &[&str] = &["add_unreduced2", "mul_unreduced2"];
 
 /// A symbolic magnitude class: `Narrow(n)` is a single-width value
 /// below `n·p`, `Wide(n)` a double-width accumulator below `n·p²`.
@@ -838,19 +843,6 @@ impl Eval<'_> {
                 let nb = self.narrow_of(op, name);
                 self.check_cap(Magnitude::Narrow(na + nb), name)
             }
-            "sub_unreduced" | "sub_unreduced2" => {
-                let na = self.narrow_of(recv, name);
-                let op = self.operand(args);
-                let nb = self.narrow_of(op, name);
-                if nb > 2 {
-                    self.report(format!(
-                        "`{name}` in `{}` subtracts a class `<{nb}p` value, but its fixed \
-                         `+2p` offset only covers subtrahends below 2p",
-                        self.fn_name
-                    ));
-                }
-                self.check_cap(Magnitude::Narrow(na + 2), name)
-            }
             "mul_unreduced" => {
                 let na = self.narrow_of(recv, name);
                 let op = self.operand(args);
@@ -880,10 +872,6 @@ impl Eval<'_> {
                     ));
                 }
                 self.check_cap(Magnitude::Wide((na * nb + 4).max(4 * na * nb)), name)
-            }
-            "reduce" => {
-                self.narrow_of(recv, name);
-                Magnitude::Narrow(1)
             }
             "wide_add" | "wide_add2" => {
                 let wa = self.wide_of(recv, name);
@@ -1155,7 +1143,7 @@ mod tests {
         let src = "impl Tf {\n    // range: <p\n    pub fn hot(&self, other: &Self) -> Self {\n        \
                    let a = self.add_unreduced(other);\n        let b = a.add_unreduced(&a);\n        \
                    let c = b.add_unreduced(&b);\n        let d = c.add_unreduced(&c);\n        \
-                   d.reduce()\n    }\n}\n";
+                   d.mul_unreduced(other).montgomery_reduce()\n    }\n}\n";
         let findings = run(src);
         assert!(
             findings
@@ -1168,7 +1156,7 @@ mod tests {
     #[test]
     fn missing_annotation_fires() {
         let src = "impl Tf {\n    pub fn sneaky(&self, other: &Self) -> Self {\n        \
-                   self.add_unreduced(other).reduce()\n    }\n}\n";
+                   self.add_unreduced(other).mul_unreduced(other).montgomery_reduce()\n    }\n}\n";
         let findings = run(src);
         assert!(
             findings
@@ -1238,7 +1226,8 @@ mod tests {
     fn control_flow_in_annotated_bodies_fires() {
         let src = "impl Tf {\n    // range: <p\n    pub fn forked(&self, other: &Self) -> Self {\n        \
                    let a = self.add_unreduced(other);\n        \
-                   if a.is_zero() { return *self; }\n        a.reduce()\n    }\n}\n";
+                   if a.is_zero() { return *self; }\n        \
+                   a.mul_unreduced(other).montgomery_reduce()\n    }\n}\n";
         let findings = run(src);
         assert!(
             findings
@@ -1253,7 +1242,7 @@ mod tests {
         let src =
             "impl Tf {\n    // range: <p -> <2p\n    pub fn widen(&self, o: &Self) -> Self { \
                    self.add_unreduced(o) }\n}\nimpl TfB {\n    // range: <p -> <3p\n    \
-                   pub fn widen(&self, o: &Self) -> Self { self.sub_unreduced(o) }\n}\n";
+                   pub fn widen(&self, o: &Self) -> Self { self.add_unreduced(o).add_unreduced(o) }\n}\n";
         let findings = run(src);
         assert!(
             findings
@@ -1267,11 +1256,12 @@ mod tests {
     fn justified_suppression_silences_and_bare_does_not() {
         let ok = "impl Tf {\n    pub fn audited(&self, other: &Self) -> Self {\n        \
                   // range-ok: chain peaks at class 2, audited in review\n        \
-                  self.add_unreduced(other).reduce()\n    }\n}\n";
+                  self.add_unreduced(other).mul_unreduced(other).montgomery_reduce()\n    }\n}\n";
         let findings = run(ok);
         assert!(findings.is_empty(), "{findings:?}");
         let bare = "impl Tf {\n    pub fn waved(&self, other: &Self) -> Self {\n        \
-                    // range-ok:\n        self.add_unreduced(other).reduce()\n    }\n}\n";
+                    // range-ok:\n        \
+                    self.add_unreduced(other).mul_unreduced(other).montgomery_reduce()\n    }\n}\n";
         let findings = run(bare);
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert!(findings[0].message.contains("gives no reason"));
@@ -1280,7 +1270,7 @@ mod tests {
     #[test]
     fn test_functions_are_skipped() {
         let src = "#[cfg(test)]\nmod tests {\n    fn probe(a: &Tf, b: &Tf) -> Tf {\n        \
-                   a.add_unreduced(b).reduce()\n    }\n}\n";
+                   a.add_unreduced(b).mul_unreduced(b).montgomery_reduce()\n    }\n}\n";
         let findings = run(src);
         assert!(findings.is_empty(), "{findings:?}");
     }

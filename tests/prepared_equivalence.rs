@@ -1,26 +1,80 @@
 //! The prepared-path equivalence contract: for every scheme, the
 //! pairing products the verifier evaluates over cached [`G2Prepared`]
 //! line coefficients agree **bit-for-bit** with the same products
-//! computed through individual, unprepared `pairing()` calls — and the
-//! accept/reject decision derived from the unprepared reconstruction
-//! matches what `CertificatelessScheme::verify` returns, on valid and
-//! tampered signatures alike.
+//! computed by an independent reference — and the accept/reject
+//! decision derived from the reference reconstruction matches what
+//! `CertificatelessScheme::verify` returns, on valid and tampered
+//! signatures alike.
+//!
+//! The reference is a test-local affine Miller loop: it recomputes the
+//! G2 line of every step inline, multiplies each pairing's factor
+//! separately, and shares no code with [`multi_miller_loop`] beyond the
+//! field tower and [`final_exponentiation`]. `pairing()` and
+//! `pairing_product()` run `multi_miller_loop` themselves, so they are
+//! checked against the same reference.
+
+#![allow(clippy::unwrap_used)]
 
 use mccls::cls::params::{h2_scalar, DST_HW};
 use mccls::cls::{all_schemes, Signature, SystemParams, UserPublicKey};
 use mccls::pairing::{
-    hash_to_g1, multi_miller_loop, pairing, G1Projective, G2Prepared, G2Projective, Gt,
+    final_exponentiation, hash_to_g1, multi_miller_loop, pairing, pairing_product, Fp, Fp12, Fp2,
+    Fr, G1Affine, G1Projective, G2Affine, G2Prepared, G2Projective, Gt,
 };
 use mccls_rng::SeedableRng;
 
-/// Evaluates a pairing product both ways — unprepared (one `pairing()`
-/// per factor, multiplied in Gt) and prepared (one multi-Miller loop
-/// over cached lines, one shared final exponentiation) — and asserts
-/// the two Gt elements are byte-identical before returning one.
+/// `|u|` for the BLS parameter `u = -0xd201000000010000`.
+const BLS_X: u64 = 0xd201_0000_0001_0000;
+
+/// Reference Miller loop `f_{u,Q}(P)`: affine steps over the bits of
+/// `|u|`, the (ξ-scaled) line `ξ·y_P + (λ·x_T - y_T)·v·w - λ·x_P·v²·w`
+/// through the working point `T` multiplied in at each step, and one
+/// conjugation for the negative parameter. The identity on either side
+/// yields the factor `1`.
+fn reference_miller_loop(p: &G1Affine, q: &G2Affine) -> Fp12 {
+    if p.is_identity() || q.is_identity() {
+        return Fp12::one();
+    }
+    let line = |f: &Fp12, tx: &Fp2, ty: &Fp2, lambda: &Fp2| {
+        let a = Fp2::new(p.y, p.y);
+        let b = lambda.mul(tx).sub(ty);
+        let c = lambda.mul_by_fp(&p.x.neg());
+        f.mul_by_line(&a, &b, &c)
+    };
+    let three = Fp2::new(Fp::from_u64(3), Fp::zero());
+    let mut f = Fp12::one();
+    let (mut tx, mut ty) = (q.x, q.y);
+    for i in (0..63).rev() {
+        f = f.square();
+        let lambda = tx.square().mul(&three).mul(&ty.double().invert().unwrap());
+        f = line(&f, &tx, &ty, &lambda);
+        let x3 = lambda.square().sub(&tx.double());
+        (tx, ty) = (x3, lambda.mul(&tx.sub(&x3)).sub(&ty));
+        if (BLS_X >> i) & 1 == 1 {
+            let lambda = q.y.sub(&ty).mul(&q.x.sub(&tx).invert().unwrap());
+            f = line(&f, &tx, &ty, &lambda);
+            let x3 = lambda.square().sub(&tx).sub(&q.x);
+            (tx, ty) = (x3, lambda.mul(&tx.sub(&x3)).sub(&ty));
+        }
+    }
+    f.conjugate()
+}
+
+/// Reference pairing: [`reference_miller_loop`] then the final
+/// exponentiation.
+fn reference_pairing(p: &G1Affine, q: &G2Affine) -> Gt {
+    final_exponentiation(&reference_miller_loop(p, q))
+}
+
+/// Evaluates a pairing product both ways — by the reference (one
+/// affine Miller loop and final exponentiation per factor, multiplied
+/// in Gt) and prepared (one multi-Miller loop over cached lines, one
+/// shared final exponentiation) — and asserts the two Gt elements are
+/// byte-identical before returning one.
 fn product_both_ways(pairs: &[(G1Projective, G2Projective)], context: &str) -> Gt {
     let mut unprepared = Gt::identity();
     for (p, q) in pairs {
-        unprepared = unprepared.mul(&pairing(&p.to_affine(), &q.to_affine()));
+        unprepared = unprepared.mul(&reference_pairing(&p.to_affine(), &q.to_affine()));
     }
     let affine: Vec<_> = pairs
         .iter()
@@ -37,8 +91,8 @@ fn product_both_ways(pairs: &[(G1Projective, G2Projective)], context: &str) -> G
 }
 
 /// Reconstructs the accept/reject decision of `scheme.verify` for a
-/// given signature using only unprepared `pairing()` calls, checking
-/// along the way that every product also matches its prepared form.
+/// given signature using only reference pairings, checking along the
+/// way that every product also matches its prepared form.
 fn unprepared_decision(
     params: &SystemParams,
     id: &[u8],
@@ -186,4 +240,74 @@ fn prepared_verify_agrees_with_unprepared_path_for_all_schemes() {
             );
         }
     }
+}
+
+#[test]
+fn pairing_entry_points_match_the_reference_miller_loop() {
+    let mut rng = mccls_rng::rngs::StdRng::seed_from_u64(0x9E9B);
+    let mut points: Vec<(G1Affine, G2Affine)> = (0..3)
+        .map(|_| {
+            (
+                (G1Projective::generator() * Fr::random(&mut rng)).to_affine(),
+                (G2Projective::generator() * Fr::random(&mut rng)).to_affine(),
+            )
+        })
+        .collect();
+    points.push((G1Affine::generator(), G2Affine::generator()));
+
+    // Single pairings: `pairing()`, a one-pair multi-Miller loop, and
+    // the Miller-loop value itself before the final exponentiation.
+    for (p, q) in &points {
+        let expected = reference_pairing(p, q);
+        assert_eq!(pairing(p, q), expected, "pairing() drifted");
+        let prepared = G2Prepared::from_affine(q);
+        let ml = multi_miller_loop(&[(p, &prepared)]);
+        assert_eq!(
+            *ml.as_fp12(),
+            reference_miller_loop(p, q),
+            "Miller loop drifted"
+        );
+        assert_eq!(ml.final_exponentiation(), expected);
+    }
+
+    // Products: the shared-squaring loop equals the product of the
+    // reference factors as an `Fp12` value, not only after the final
+    // exponentiation.
+    let prepared: Vec<G2Prepared> = points
+        .iter()
+        .map(|(_, q)| G2Prepared::from_affine(q))
+        .collect();
+    let pairs: Vec<(&G1Affine, &G2Prepared)> =
+        points.iter().map(|(p, _)| p).zip(prepared.iter()).collect();
+    let reference = points
+        .iter()
+        .fold(Fp12::one(), |f, (p, q)| f.mul(&reference_miller_loop(p, q)));
+    let ml = multi_miller_loop(&pairs);
+    assert_eq!(*ml.as_fp12(), reference, "multi-Miller loop drifted");
+    let expected = final_exponentiation(&reference);
+    assert_eq!(ml.final_exponentiation(), expected);
+    assert_eq!(
+        pairing_product(&points),
+        expected,
+        "pairing_product drifted"
+    );
+
+    // Identity factors drop out of every entry point.
+    let mut with_identities = points.clone();
+    with_identities.insert(1, (G1Affine::identity(), G2Affine::generator()));
+    with_identities.push((G1Affine::generator(), G2Affine::identity()));
+    assert_eq!(pairing_product(&with_identities), expected);
+    let id_prepared = G2Prepared::from_affine(&G2Affine::identity());
+    let g1_id = G1Affine::identity();
+    let mut pairs_with_identities = pairs.clone();
+    pairs_with_identities.push((&g1_id, &prepared[0]));
+    pairs_with_identities.push((&points[0].0, &id_prepared));
+    assert_eq!(
+        *multi_miller_loop(&pairs_with_identities).as_fp12(),
+        reference
+    );
+    assert!(pairing_product(&[(G1Affine::identity(), G2Affine::generator())]).is_identity());
+    assert!(pairing_product(&[]).is_identity());
+    assert!(pairing(&G1Affine::identity(), &G2Affine::generator()).is_identity());
+    assert!(pairing(&G1Affine::generator(), &G2Affine::identity()).is_identity());
 }
